@@ -49,18 +49,6 @@ CmpOp to_cmp(minilang::BinOp op) {
   }
 }
 
-bool concrete_cmp(std::int64_t a, CmpOp op, std::int64_t b) {
-  switch (op) {
-    case CmpOp::kEq: return a == b;
-    case CmpOp::kNe: return a != b;
-    case CmpOp::kLt: return a < b;
-    case CmpOp::kLe: return a <= b;
-    case CmpOp::kGt: return a > b;
-    case CmpOp::kGe: return a >= b;
-  }
-  return false;
-}
-
 }  // namespace
 
 class Engine::Impl {
@@ -210,7 +198,7 @@ class Engine::Impl {
       const Resolution res = resolve_path(atom.lhs, frame);
       if (!res.ok || !res.value.is_int()) return fail();
       if (res.parent == nullptr)
-        return Formula::truth(concrete_cmp(res.value.as_int(), atom.op, atom.rhs_const));
+        return Formula::truth(smt::cmp_holds(res.value.as_int(), atom.op, atom.rhs_const));
       return Formula::make_atom(
           Atom::cmp_const(field_var(*res.parent, res.leaf), atom.op, atom.rhs_const));
     }
@@ -229,7 +217,7 @@ class Engine::Impl {
     if (rhs_loc)
       return Formula::make_atom(Atom::cmp_const(field_var(*rhs.parent, rhs.leaf),
                                                 smt::cmp_swap(atom.op), lhs.value.as_int()));
-    return Formula::truth(concrete_cmp(lhs.value.as_int(), atom.op, rhs.value.as_int()));
+    return Formula::truth(smt::cmp_holds(lhs.value.as_int(), atom.op, rhs.value.as_int()));
   }
 
   FormulaPtr instantiate(const FormulaPtr& f, Frame& frame, bool* instantiable, bool* concrete) {
@@ -288,10 +276,10 @@ class Engine::Impl {
         const Resolution lhs = resolve_path(atom.lhs, frame);
         if (!lhs.ok || !lhs.value.is_int()) { *ok = false; return true; }
         if (atom.kind == Atom::Kind::kCmpConst)
-          return concrete_cmp(lhs.value.as_int(), atom.op, atom.rhs_const);
+          return smt::cmp_holds(lhs.value.as_int(), atom.op, atom.rhs_const);
         const Resolution rhs = resolve_path(atom.rhs_var, frame);
         if (!rhs.ok || !rhs.value.is_int()) { *ok = false; return true; }
-        return concrete_cmp(lhs.value.as_int(), atom.op, rhs.value.as_int());
+        return smt::cmp_holds(lhs.value.as_int(), atom.op, rhs.value.as_int());
       }
     }
     return true;
@@ -650,12 +638,12 @@ class Engine::Impl {
         if (lhs.v.is_string() && rhs.v.is_string()) {
           const int cmp = lhs.v.as_string().compare(rhs.v.as_string());
           const CmpOp op = to_cmp(expr.bin_op);
-          return CValue(Value::of_bool(concrete_cmp(cmp, op, 0)));
+          return CValue(Value::of_bool(smt::cmp_holds(cmp, op, 0)));
         }
         if (!lhs.v.is_int() || !rhs.v.is_int())
           throw InterpError("comparison on incompatible types");
         const CmpOp op = to_cmp(expr.bin_op);
-        CValue out(Value::of_bool(concrete_cmp(lhs.v.as_int(), op, rhs.v.as_int())));
+        CValue out(Value::of_bool(smt::cmp_holds(lhs.v.as_int(), op, rhs.v.as_int())));
         out.sym.bool_formula = cmp_shadow(lhs, rhs, op);
         return out;
       }

@@ -6,6 +6,8 @@
 #include <utility>
 
 #include "minilang/printer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "support/faultpoint.hpp"
 
 namespace lisa::concolic {
@@ -405,20 +407,25 @@ void ScheduleExplorer::explore_into(const std::string& test_name,
 }
 
 ScheduleExplorationResult ScheduleExplorer::explore() {
+  obs::ScopedSpan span("schedule.explore");
+  obs::metrics().counter("schedule.explorations").add();
   ScheduleExplorationResult out;
   const support::FaultAction fault = support::faultpoint("schedule.explore");
   if (fault != support::FaultAction::kNone) {
     out.conclusive = false;
     out.inconclusive_reason = std::string("fault injected: schedule.explore (") +
                               support::fault_action_name(fault) + ")";
-    return out;
+  } else {
+    for (const FuncDecl* test : program_.functions_with("test")) {
+      if (!test_spawns(test->name)) continue;
+      ++out.tests_with_threads;
+      explore_into(test->name, out);
+      if (out.violation_found) break;  // first violating schedule decides the verdict
+    }
   }
-  for (const FuncDecl* test : program_.functions_with("test")) {
-    if (!test_spawns(test->name)) continue;
-    ++out.tests_with_threads;
-    explore_into(test->name, out);
-    if (out.violation_found) break;  // first violating schedule decides the verdict
-  }
+  span.attr("tests_with_threads", out.tests_with_threads);
+  span.attr("schedules", out.schedules_explored);
+  span.attr("conclusive", out.conclusive);
   return out;
 }
 

@@ -1,14 +1,15 @@
 #include "lisa/checker.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 
-#include "analysis/callgraph.hpp"
 #include "analysis/paths.hpp"
 #include "analysis/patterns.hpp"
 #include "concolic/engine.hpp"
 #include "concolic/schedule.hpp"
 #include "inference/embedding.hpp"
+#include "lisa/program_facts.hpp"
 #include "minilang/printer.hpp"
 #include "obs/explain.hpp"
 #include "obs/metrics.hpp"
@@ -97,18 +98,12 @@ Json ContractCheckReport::to_json() const {
     if (!path.counterexample.empty()) entry["counterexample"] = path.counterexample;
     if (!path.detail.empty()) entry["detail"] = path.detail;
     entry["covered_by_test"] = path.covered_by_test;
-    if (!path.covering_tests.empty()) {
-      JsonArray covering;
-      for (const std::string& test : path.covering_tests) covering.push_back(Json(test));
-      entry["covering_tests"] = Json(std::move(covering));
-    }
+    if (!path.covering_tests.empty()) entry["covering_tests"] = Json::strings(path.covering_tests);
     path_entries.emplace_back(std::move(entry));
   }
   root["paths"] = Json(std::move(path_entries));
   JsonObject dyn;
-  JsonArray selected;
-  for (const std::string& test : dynamic.selected_tests) selected.push_back(Json(test));
-  dyn["selected_tests"] = Json(std::move(selected));
+  dyn["selected_tests"] = Json::strings(dynamic.selected_tests);
   dyn["tests_run"] = dynamic.tests_run;
   dyn["tests_passed"] = dynamic.tests_passed;
   dyn["target_hits"] = dynamic.target_hits;
@@ -116,17 +111,10 @@ Json ContractCheckReport::to_json() const {
   dyn["concrete_violations"] = dynamic.concrete_violations;
   if (dynamic.inconclusive_hits > 0) dyn["inconclusive_hits"] = dynamic.inconclusive_hits;
   if (dynamic.degraded_runs > 0) dyn["degraded_runs"] = dynamic.degraded_runs;
-  if (!dynamic.violation_details.empty()) {
-    JsonArray details;
-    for (const std::string& detail : dynamic.violation_details)
-      details.push_back(Json(detail));
-    dyn["violation_details"] = Json(std::move(details));
-  }
+  if (!dynamic.violation_details.empty())
+    dyn["violation_details"] = Json::strings(dynamic.violation_details);
   root["dynamic"] = Json(std::move(dyn));
-  JsonArray structural;
-  for (const std::string& violation : structural_violations)
-    structural.push_back(Json(violation));
-  root["structural_violations"] = Json(std::move(structural));
+  root["structural_violations"] = Json::strings(structural_violations);
   if (!screen_verdict.empty()) {
     JsonObject screen;
     screen["verdict"] = screen_verdict;
@@ -147,12 +135,8 @@ Json ContractCheckReport::to_json() const {
     if (!schedule_witness.empty()) schedule["witness"] = schedule_witness;
     if (!schedule_inconclusive_reason.empty())
       schedule["reason"] = schedule_inconclusive_reason;
-    if (!schedule_violation_details.empty()) {
-      JsonArray details;
-      for (const std::string& detail : schedule_violation_details)
-        details.push_back(Json(detail));
-      schedule["violation_details"] = Json(std::move(details));
-    }
+    if (!schedule_violation_details.empty())
+      schedule["violation_details"] = Json::strings(schedule_violation_details);
     root["schedule"] = Json(std::move(schedule));
   }
   if (!slice_fp.empty()) root["slice_fp"] = slice_fp;
@@ -171,13 +155,9 @@ ContractCheckReport ContractCheckReport::from_json(const Json& json) {
   report.inconclusive = static_cast<int>(json.get_int("inconclusive"));
   report.uncovered = static_cast<int>(json.get_int("uncovered"));
   report.raw_paths = static_cast<std::size_t>(json.get_int("raw_paths"));
-  report.truncated = json.has("truncated") && json.at("truncated").is_bool() &&
-                     json.at("truncated").as_bool();
-  report.sanity_ok = json.has("sanity_ok") && json.at("sanity_ok").is_bool() &&
-                     json.at("sanity_ok").as_bool();
-  report.budget_exhausted = json.has("budget_exhausted") &&
-                            json.at("budget_exhausted").is_bool() &&
-                            json.at("budget_exhausted").as_bool();
+  report.truncated = json.get_bool("truncated");
+  report.sanity_ok = json.get_bool("sanity_ok");
+  report.budget_exhausted = json.get_bool("budget_exhausted");
   report.budget_reason = json.get_string("budget_reason");
   report.budget_resource = json.get_string("budget_resource");
   if (json.has("paths") && json.at("paths").is_array()) {
@@ -200,20 +180,14 @@ ContractCheckReport ContractCheckReport::from_json(const Json& json) {
                          .value_or(PathVerdict::kInconclusive);
       path.counterexample = entry.get_string("counterexample");
       path.detail = entry.get_string("detail");
-      path.covered_by_test = entry.has("covered_by_test") &&
-                             entry.at("covered_by_test").is_bool() &&
-                             entry.at("covered_by_test").as_bool();
-      if (entry.has("covering_tests") && entry.at("covering_tests").is_array())
-        for (const Json& test : entry.at("covering_tests").as_array())
-          if (test.is_string()) path.covering_tests.push_back(test.as_string());
+      path.covered_by_test = entry.get_bool("covered_by_test");
+      path.covering_tests = entry.get_strings("covering_tests");
       report.paths.push_back(std::move(path));
     }
   }
   if (json.has("dynamic") && json.at("dynamic").is_object()) {
     const Json& dyn = json.at("dynamic");
-    if (dyn.has("selected_tests") && dyn.at("selected_tests").is_array())
-      for (const Json& test : dyn.at("selected_tests").as_array())
-        if (test.is_string()) report.dynamic.selected_tests.push_back(test.as_string());
+    report.dynamic.selected_tests = dyn.get_strings("selected_tests");
     report.dynamic.tests_run = static_cast<int>(dyn.get_int("tests_run"));
     report.dynamic.tests_passed = static_cast<int>(dyn.get_int("tests_passed"));
     report.dynamic.target_hits = static_cast<int>(dyn.get_int("target_hits"));
@@ -223,15 +197,9 @@ ContractCheckReport ContractCheckReport::from_json(const Json& json) {
         static_cast<int>(dyn.get_int("concrete_violations"));
     report.dynamic.inconclusive_hits = static_cast<int>(dyn.get_int("inconclusive_hits"));
     report.dynamic.degraded_runs = static_cast<int>(dyn.get_int("degraded_runs"));
-    if (dyn.has("violation_details") && dyn.at("violation_details").is_array())
-      for (const Json& detail : dyn.at("violation_details").as_array())
-        if (detail.is_string())
-          report.dynamic.violation_details.push_back(detail.as_string());
+    report.dynamic.violation_details = dyn.get_strings("violation_details");
   }
-  if (json.has("structural_violations") && json.at("structural_violations").is_array())
-    for (const Json& violation : json.at("structural_violations").as_array())
-      if (violation.is_string())
-        report.structural_violations.push_back(violation.as_string());
+  report.structural_violations = json.get_strings("structural_violations");
   if (json.has("screen") && json.at("screen").is_object()) {
     const Json& screen = json.at("screen");
     report.screen_verdict = screen.get_string("verdict");
@@ -241,23 +209,16 @@ ContractCheckReport ContractCheckReport::from_json(const Json& json) {
       report.screen_ms = screen.at("elapsed_ms").as_double();
     if (screen.has("summary_ms") && screen.at("summary_ms").is_number())
       report.summary_ms = screen.at("summary_ms").as_double();
-    report.screen_skipped_concolic = screen.has("skipped_concolic") &&
-                                     screen.at("skipped_concolic").is_bool() &&
-                                     screen.at("skipped_concolic").as_bool();
+    report.screen_skipped_concolic = screen.get_bool("skipped_concolic");
   }
   if (json.has("schedule") && json.at("schedule").is_object()) {
     const Json& schedule = json.at("schedule");
     report.schedules_explored = static_cast<int>(schedule.get_int("explored"));
-    report.schedule_conclusive = !schedule.has("conclusive") ||
-                                 !schedule.at("conclusive").is_bool() ||
-                                 schedule.at("conclusive").as_bool();
+    report.schedule_conclusive = schedule.get_bool("conclusive", true);
     report.schedule_violations = static_cast<int>(schedule.get_int("violations"));
     report.schedule_witness = schedule.get_string("witness");
     report.schedule_inconclusive_reason = schedule.get_string("reason");
-    if (schedule.has("violation_details") && schedule.at("violation_details").is_array())
-      for (const Json& detail : schedule.at("violation_details").as_array())
-        if (detail.is_string())
-          report.schedule_violation_details.push_back(detail.as_string());
+    report.schedule_violation_details = schedule.get_strings("violation_details");
   }
   report.slice_fp = json.get_string("slice_fp");
   return report;
@@ -436,211 +397,168 @@ std::string contract_slice_fingerprint(const staticcheck::SliceEngine& engine,
   return engine.slice(contract_slice_request(contract, run_concolic)).fingerprint;
 }
 
-ContractCheckReport Checker::check(const minilang::Program& program,
-                                   const SemanticContract& contract,
-                                   const CheckOptions& options) const {
-  obs::ScopedSpan span("checker.contract");
-  span.attr("contract", contract.id);
-  span.attr("target", contract.target_fragment);
+namespace {
 
-  ContractCheckReport report;
-  report.contract_id = contract.id;
-  report.target_fragment = contract.target_fragment;
+/// The slice fingerprint of `contract`'s verdict cone, from the shared
+/// screener's slicer.
+std::string slice_fingerprint(const ProgramFacts& facts, const SemanticContract& contract,
+                              const CheckOptions& options) {
+  const staticcheck::Screener& screener = facts.screener();
+  if (contract.kind != corpus::SemanticsKind::kStatePredicate || options.static_screen)
+    return contract_slice_fingerprint(screener.slicer(), contract, options.run_concolic);
+  // Screening off: the fingerprint degrades to the whole-program cone —
+  // maximally conservative, never stale.
+  const staticcheck::SliceEngine havoc(facts.program(), screener.graph(), nullptr);
+  return contract_slice_fingerprint(havoc, contract, options.run_concolic);
+}
 
-  const analysis::CallGraph graph = analysis::CallGraph::build(program);
-  const obs::CaptureHandle capture = bind_capture(options.ledger, contract);
+void record_screen(const staticcheck::ScreenResult& screen, ContractCheckReport& report) {
+  report.screen_verdict = staticcheck::screen_verdict_name(screen.verdict);
+  report.screen_witness = screen.witness;
+  report.screen_reason = screen.reason;
+  report.screen_ms = screen.elapsed_ms;
+}
 
-  if (contract.kind == corpus::SemanticsKind::kStructuralPattern) {
-    // The path-sensitive lock-state dataflow subsumes the older structural
-    // walk (analysis/patterns.cpp): same monitor rule, but exception edges
-    // release monitors and nested sync depth is tracked per path.
-    const staticcheck::Screener screener(program, options.use_summaries);
-    staticcheck::ScreenOptions screen_options;
-    screen_options.capture = capture;
-    const staticcheck::ScreenResult screen = screener.screen_structural(screen_options);
-    if (screener.summaries() != nullptr)
-      report.summary_ms = screener.summaries()->stats().elapsed_ms;
-    if (options.compute_slice_fp) {
-      const staticcheck::SliceEngine slicer(program, screener.graph(), screener.summaries());
-      report.slice_fp = contract_slice_fingerprint(slicer, contract, options.run_concolic);
-    }
-    for (const staticcheck::Diagnostic& diagnostic : screen.diagnostics)
-      report.structural_violations.push_back(diagnostic.render());
-    report.screen_verdict = staticcheck::screen_verdict_name(screen.verdict);
-    report.screen_witness = screen.witness;
-    report.screen_reason = screen.reason;
-    report.screen_ms = screen.elapsed_ms;
-    report.target_statements =
-        analysis::find_target_statements(program, contract.target_fragment).size();
-    report.sanity_ok = true;  // structural rules need no fixed-path witness
-    if (capture.active() && !report.passed()) {
-      // Narrate the deadlock-shaped witness: replay tests until a blocking
-      // call executes under a held monitor.
-      obs::NarrationRequest request;
-      request.contract_id = contract.id;
-      request.kind = "structural-pattern";
-      request.target_fragment = contract.target_fragment;
-      for (const minilang::FuncDecl* fn : program.functions_with("test"))
-        request.candidate_tests.push_back(fn->name);
-      capture.capture->narration = obs::narrate_counterexample(program, request);
-    }
-    finalize_capture(capture, report, options.budget);
-    record_contract_outcome(span, report, span.elapsed_ms());
-    return report;
+void record_budget_exhaustion(const support::Budget* budget, ContractCheckReport& report) {
+  if (budget == nullptr || !budget->exhausted()) return;
+  report.budget_exhausted = true;
+  report.budget_reason = budget->exhausted_reason();
+  report.budget_resource = support::budget_resource_name(budget->exhausted_resource());
+}
+
+/// The path-sensitive lock-state dataflow subsumes the older structural walk
+/// (analysis/patterns.cpp): same monitor rule, but exception edges release
+/// monitors and nested sync depth is tracked per path.
+void check_structural(const ProgramFacts& facts, const SemanticContract& contract,
+                      const obs::CaptureHandle& capture, ContractCheckReport& report) {
+  staticcheck::ScreenOptions screen_options;
+  screen_options.capture = capture;
+  const staticcheck::ScreenResult screen = facts.screener().screen_structural(screen_options);
+  for (const staticcheck::Diagnostic& diagnostic : screen.diagnostics)
+    report.structural_violations.push_back(diagnostic.render());
+  record_screen(screen, report);
+  if (capture.active() && !report.passed()) {
+    // Narrate the deadlock-shaped witness: replay tests until a blocking
+    // call executes under a held monitor.
+    obs::NarrationRequest request;
+    request.contract_id = contract.id;
+    request.kind = "structural-pattern";
+    request.target_fragment = contract.target_fragment;
+    for (const minilang::FuncDecl* fn : facts.program().functions_with("test"))
+      request.candidate_tests.push_back(fn->name);
+    capture.capture->narration = obs::narrate_counterexample(facts.program(), request);
   }
+}
 
-  if (contract.kind == corpus::SemanticsKind::kInterleavingSensitive &&
-      (contract.pattern == "atomic" || contract.pattern == "eventually")) {
-    // Atomicity and liveness patterns cannot be settled by the lockset
-    // screen: the violation is a specific interleaving of spawned threads,
-    // not a missing lock edge. The schedule explorer quantifies over
-    // interleavings instead — every spawning @test is re-run under the
-    // cooperative scheduler, one thread order per run, bounded by
-    // max_schedules and charged to the budget. Serial replay of the same
-    // tests sees exactly one schedule and is provably blind to these bugs
-    // (schedule_test.cpp asserts it), so the explorer's verdict is final:
-    // a violating schedule fails the contract with a replayable witness;
-    // an undrained schedule space is a typed inconclusive, never a pass.
-    const staticcheck::Screener screener(program, options.use_summaries);
-    if (screener.summaries() != nullptr)
-      report.summary_ms = screener.summaries()->stats().elapsed_ms;
-    if (options.compute_slice_fp) {
-      const staticcheck::SliceEngine slicer(program, screener.graph(), screener.summaries());
-      report.slice_fp = contract_slice_fingerprint(slicer, contract, options.run_concolic);
-    }
-    report.target_statements =
-        analysis::find_target_statements(program, contract.target_fragment).size();
-    report.sanity_ok = true;  // the witness schedule is its own evidence
-
-    concolic::ScheduleExploreOptions schedule_options;
-    schedule_options.max_schedules = options.max_schedules;
-    schedule_options.seed = options.schedule_seed;
-    schedule_options.budget = options.budget;
-    concolic::ScheduleExplorer explorer(program, schedule_options);
-    const concolic::ScheduleExplorationResult explored = explorer.explore();
-    report.schedules_explored = explored.schedules_explored;
-    report.schedule_conclusive = explored.conclusive;
-    report.schedule_inconclusive_reason = explored.inconclusive_reason;
-    report.schedule_violations = static_cast<int>(explored.witnesses.size());
-    for (const concolic::ScheduleWitness& witness : explored.witnesses) {
-      report.schedule_violation_details.push_back(
-          witness.test + ": " + witness.outcome + " under schedule [" +
-          witness.decisions_text() + "]" +
-          (witness.detail.empty() ? "" : " — " + witness.detail));
-      if (report.schedule_witness.empty())
-        report.schedule_witness = witness.to_compact();
-    }
-    if (options.budget != nullptr && options.budget->exhausted()) {
-      report.budget_exhausted = true;
-      report.budget_reason = options.budget->exhausted_reason();
-      report.budget_resource =
-          support::budget_resource_name(options.budget->exhausted_resource());
-    }
-    obs::metrics().counter("checker.interleaving_contracts").add();
-    obs::metrics().counter("checker.schedule_contracts").add();
-    obs::metrics().counter("checker.schedules_explored").add(explored.schedules_explored);
-    if (explored.violation_found)
-      obs::metrics().counter("checker.schedule_violations").add();
-    if (!explored.conclusive)
-      obs::metrics().counter("checker.schedule_inconclusive").add();
-    if (capture.active()) {
-      capture.capture->schedules_explored = report.schedules_explored;
-      capture.capture->schedule_conclusive = report.schedule_conclusive;
-      capture.capture->schedule_witness = report.schedule_witness;
-      capture.capture->schedule_reason =
-          !report.schedule_violation_details.empty()
-              ? report.schedule_violation_details.front()
-              : report.schedule_inconclusive_reason;
-      if (!explored.witnesses.empty())
-        // Narrate the violating interleaving: replay the witness with a
-        // recording observer, each step tagged with its MiniLang thread id.
-        capture.capture->narration =
-            concolic::narrate_schedule(program, explored.witnesses.front());
-    }
-    finalize_capture(capture, report, options.budget);
-    record_contract_outcome(span, report, span.elapsed_ms());
-    return report;
+/// Atomicity and liveness patterns cannot be settled by the lockset screen:
+/// the violation is a specific interleaving of spawned threads, not a
+/// missing lock edge. The schedule explorer quantifies over interleavings
+/// instead — every spawning @test is re-run under the cooperative
+/// scheduler, one thread order per run, bounded by max_schedules and charged
+/// to the budget. Serial replay of the same tests sees exactly one schedule
+/// and is provably blind to these bugs (schedule_test.cpp asserts it), so
+/// the explorer's verdict is final: a violating schedule fails the contract
+/// with a replayable witness; an undrained schedule space is a typed
+/// inconclusive, never a pass. The exploration is contract-blind, so every
+/// such contract shares the program's one memoized exploration.
+void explore_schedules(const ProgramFacts& facts, const CheckOptions& options,
+                       const obs::CaptureHandle& capture, ContractCheckReport& report) {
+  const concolic::ScheduleExplorationResult& explored =
+      facts.explore(options.max_schedules, options.schedule_seed, options.budget);
+  report.schedules_explored = explored.schedules_explored;
+  report.schedule_conclusive = explored.conclusive;
+  report.schedule_inconclusive_reason = explored.inconclusive_reason;
+  report.schedule_violations = static_cast<int>(explored.witnesses.size());
+  for (const concolic::ScheduleWitness& witness : explored.witnesses) {
+    report.schedule_violation_details.push_back(
+        witness.test + ": " + witness.outcome + " under schedule [" +
+        witness.decisions_text() + "]" +
+        (witness.detail.empty() ? "" : " — " + witness.detail));
+    if (report.schedule_witness.empty()) report.schedule_witness = witness.to_compact();
   }
-
-  if (contract.kind == corpus::SemanticsKind::kInterleavingSensitive) {
-    // Interleaving-sensitive contracts are settled by the static concurrency
-    // pass (locksets + the lock-acquisition-order graph): single-threaded
-    // concolic replay cannot observe interleavings, so the screen *is* the
-    // check — Unknown when summaries are unavailable, never a false
-    // ProvedSafe.
-    const staticcheck::Screener screener(program, options.use_summaries);
-    if (screener.summaries() != nullptr)
-      report.summary_ms = screener.summaries()->stats().elapsed_ms;
-    if (options.compute_slice_fp) {
-      const staticcheck::SliceEngine slicer(program, screener.graph(), screener.summaries());
-      report.slice_fp = contract_slice_fingerprint(slicer, contract, options.run_concolic);
-    }
-    staticcheck::ScreenOptions screen_options;
-    screen_options.capture = capture;
-    const staticcheck::ScreenResult screen = screener.screen_interleaving(
-        contract.pattern, contract.target_fragment, contract.condition_text,
-        screen_options);
-    for (const staticcheck::Diagnostic& diagnostic : screen.diagnostics)
-      report.structural_violations.push_back(diagnostic.render());
-    report.screen_verdict = staticcheck::screen_verdict_name(screen.verdict);
-    report.screen_witness = screen.witness;
-    report.screen_reason = screen.reason;
-    report.screen_ms = screen.elapsed_ms;
-    report.target_statements =
-        analysis::find_target_statements(program, contract.target_fragment).size();
-    report.sanity_ok = true;  // the screened verdict carries its own witness
-    obs::metrics().counter("checker.interleaving_contracts").add();
-    obs::metrics()
-        .counter(std::string("screen.interleaving.") +
-                 staticcheck::screen_verdict_name(screen.verdict))
-        .add();
-    if (capture.active() && !report.passed()) {
-      // Narrate the concrete schedule: replay tests until one acquires a
-      // cycle-edge monitor pair nested, or writes the guarded field bare.
-      obs::NarrationRequest request;
-      request.contract_id = contract.id;
-      request.kind = "interleaving-sensitive";
-      request.target_fragment = contract.target_fragment;
-      if (contract.pattern == "lock_order_acyclic" && screener.summaries() != nullptr) {
-        const staticcheck::LockGraph lock_graph = staticcheck::LockGraph::build(
-            program, screener.graph(), *screener.summaries());
-        for (const staticcheck::LockCycle& cycle : lock_graph.cycles)
-          for (const staticcheck::LockOrderEdge& edge : cycle.edges)
-            request.cycle_edges.emplace_back(edge.first, edge.second);
-      } else if (contract.pattern == "guarded_field") {
-        request.guarded_field = contract.target_fragment;
-        const std::size_t open = contract.condition_text.find("holds(");
-        const std::size_t close = contract.condition_text.rfind(')');
-        if (open != std::string::npos && close != std::string::npos &&
-            close > open + 6)
-          request.guard_monitor =
-              contract.condition_text.substr(open + 6, close - open - 6);
-      }
-      for (const minilang::FuncDecl* fn : program.functions_with("test"))
-        request.candidate_tests.push_back(fn->name);
-      capture.capture->narration = obs::narrate_counterexample(program, request);
-    }
-    finalize_capture(capture, report, options.budget);
-    record_contract_outcome(span, report, span.elapsed_ms());
-    return report;
+  record_budget_exhaustion(options.budget, report);
+  obs::metrics().counter("checker.interleaving_contracts").add();
+  obs::metrics().counter("checker.schedule_contracts").add();
+  obs::metrics().counter("checker.schedules_explored").add(explored.schedules_explored);
+  if (explored.violation_found) obs::metrics().counter("checker.schedule_violations").add();
+  if (!explored.conclusive) obs::metrics().counter("checker.schedule_inconclusive").add();
+  if (capture.active()) {
+    capture.capture->schedules_explored = report.schedules_explored;
+    capture.capture->schedule_conclusive = report.schedule_conclusive;
+    capture.capture->schedule_witness = report.schedule_witness;
+    capture.capture->schedule_reason = !report.schedule_violation_details.empty()
+                                           ? report.schedule_violation_details.front()
+                                           : report.schedule_inconclusive_reason;
+    if (!explored.witnesses.empty())
+      // Narrate the violating interleaving: replay the witness with a
+      // recording observer, each step tagged with its MiniLang thread id.
+      capture.capture->narration =
+          concolic::narrate_schedule(facts.program(), explored.witnesses.front());
   }
+}
 
+/// Lock-order and guarded-field contracts are settled by the static
+/// concurrency pass (locksets + the lock-acquisition-order graph):
+/// single-threaded concolic replay cannot observe interleavings, so the
+/// screen *is* the check — Unknown when summaries are unavailable, never a
+/// false ProvedSafe.
+void check_interleaving(const ProgramFacts& facts, const SemanticContract& contract,
+                        const obs::CaptureHandle& capture, ContractCheckReport& report) {
+  const staticcheck::Screener& screener = facts.screener();
+  staticcheck::ScreenOptions screen_options;
+  screen_options.capture = capture;
+  const staticcheck::ScreenResult screen = screener.screen_interleaving(
+      contract.pattern, contract.target_fragment, contract.condition_text, screen_options);
+  for (const staticcheck::Diagnostic& diagnostic : screen.diagnostics)
+    report.structural_violations.push_back(diagnostic.render());
+  record_screen(screen, report);
+  obs::metrics().counter("checker.interleaving_contracts").add();
+  obs::metrics()
+      .counter(std::string("screen.interleaving.") +
+               staticcheck::screen_verdict_name(screen.verdict))
+      .add();
+  if (capture.active() && !report.passed()) {
+    // Narrate the concrete schedule: replay tests until one acquires a
+    // cycle-edge monitor pair nested, or writes the guarded field bare.
+    obs::NarrationRequest request;
+    request.contract_id = contract.id;
+    request.kind = "interleaving-sensitive";
+    request.target_fragment = contract.target_fragment;
+    if (contract.pattern == "lock_order_acyclic" && screener.summaries() != nullptr) {
+      const staticcheck::LockGraph lock_graph = staticcheck::LockGraph::build(
+          facts.program(), screener.graph(), *screener.summaries());
+      for (const staticcheck::LockCycle& cycle : lock_graph.cycles)
+        for (const staticcheck::LockOrderEdge& edge : cycle.edges)
+          request.cycle_edges.emplace_back(edge.first, edge.second);
+    } else if (contract.pattern == "guarded_field") {
+      request.guarded_field = contract.target_fragment;
+      const std::size_t open = contract.condition_text.find("holds(");
+      const std::size_t close = contract.condition_text.rfind(')');
+      if (open != std::string::npos && close != std::string::npos && close > open + 6)
+        request.guard_monitor = contract.condition_text.substr(open + 6, close - open - 6);
+    }
+    for (const minilang::FuncDecl* fn : facts.program().functions_with("test"))
+      request.candidate_tests.push_back(fn->name);
+    capture.capture->narration = obs::narrate_counterexample(facts.program(), request);
+  }
+}
+
+/// State predicates: screen, then assert the contract over every static
+/// entry→target path, then confirm by concolic replay of selected tests.
+void check_state_predicate(const ProgramFacts& facts, const SemanticContract& contract,
+                           const CheckOptions& options, const obs::CaptureHandle& capture,
+                           ContractCheckReport& report) {
+  const minilang::Program& program = facts.program();
   // ---- Static screening (src/staticcheck) ---------------------------------
   bool skip_concolic = false;
   if (options.static_screen) {
-    const staticcheck::Screener screener(program, options.use_summaries);
-    if (screener.summaries() != nullptr)
-      report.summary_ms = screener.summaries()->stats().elapsed_ms;
     staticcheck::ScreenOptions screen_options;
     screen_options.max_paths = options.max_paths;
     screen_options.prune_irrelevant = options.prune_irrelevant;
     screen_options.capture = capture;
-    const staticcheck::ScreenResult screen = screener.screen_state_predicate(
+    const staticcheck::ScreenResult screen = facts.screener().screen_state_predicate(
         contract.target_fragment, contract.condition, screen_options);
-    report.screen_verdict = staticcheck::screen_verdict_name(screen.verdict);
-    report.screen_witness = screen.witness;
-    report.screen_reason = screen.reason;
-    report.screen_ms = screen.elapsed_ms;
+    record_screen(screen, report);
     // Forced tests are always honoured: ablations that request specific
     // replays expect them to run regardless of the screening verdict.
     if (options.forced_tests.empty()) {
@@ -650,16 +568,6 @@ ContractCheckReport Checker::check(const minilang::Program& program,
            options.trust_screen_verdicts);
     }
     report.screen_skipped_concolic = skip_concolic && options.run_concolic;
-    if (options.compute_slice_fp) {
-      const staticcheck::SliceEngine slicer(program, screener.graph(), screener.summaries());
-      report.slice_fp = contract_slice_fingerprint(slicer, contract, options.run_concolic);
-    }
-  }
-  if (options.compute_slice_fp && report.slice_fp.empty()) {
-    // Screening off: no summaries around, so the fingerprint degrades to the
-    // whole-program cone — maximally conservative, never stale.
-    const staticcheck::SliceEngine slicer(program, graph, nullptr);
-    report.slice_fp = contract_slice_fingerprint(slicer, contract, options.run_concolic);
   }
 
   // ---- Static assertion over the execution tree ---------------------------
@@ -669,7 +577,7 @@ ContractCheckReport Checker::check(const minilang::Program& program,
   tree_options.contract_condition = contract.condition;
   obs::ScopedSpan tree_span("checker.tree");
   const analysis::ExecutionTree tree = analysis::build_execution_tree(
-      program, graph, contract.target_fragment, tree_options);
+      program, facts.screener().graph(), contract.target_fragment, tree_options);
   tree_span.attr("paths", tree.paths.size());
   tree_span.attr("raw_paths", tree.enumerated_raw);
   tree_span.close();
@@ -864,12 +772,7 @@ ContractCheckReport Checker::check(const minilang::Program& program,
     concolic_span.attr("tests_run", report.dynamic.tests_run);
     concolic_span.attr("target_hits", report.dynamic.target_hits);
   }
-  if (options.budget != nullptr && options.budget->exhausted()) {
-    report.budget_exhausted = true;
-    report.budget_reason = options.budget->exhausted_reason();
-    report.budget_resource =
-        support::budget_resource_name(options.budget->exhausted_resource());
-  }
+  record_budget_exhaustion(options.budget, report);
   if (capture.active() && !report.passed()) {
     // Narrate the counterexample: replay the best covering test with the
     // violated path's model injected into the live state.
@@ -896,6 +799,45 @@ ContractCheckReport Checker::check(const minilang::Program& program,
       request.candidate_tests.push_back(fn->name);
     capture.capture->narration = obs::narrate_counterexample(program, request);
   }
+}
+
+}  // namespace
+
+ContractCheckReport Checker::check(const minilang::Program& program,
+                                   const SemanticContract& contract,
+                                   const CheckOptions& options) const {
+  return check(ProgramFacts(program, options.use_summaries), contract, options);
+}
+
+ContractCheckReport Checker::check(const ProgramFacts& facts, const SemanticContract& contract,
+                                   const CheckOptions& options) const {
+  assert(facts.use_summaries() == options.use_summaries);
+  obs::ScopedSpan span("checker.contract");
+  span.attr("contract", contract.id);
+  span.attr("target", contract.target_fragment);
+
+  ContractCheckReport report;
+  report.contract_id = contract.id;
+  report.target_fragment = contract.target_fragment;
+  const obs::CaptureHandle capture = bind_capture(options.ledger, contract);
+  if (options.compute_slice_fp) report.slice_fp = slice_fingerprint(facts, contract, options);
+
+  if (contract.kind == corpus::SemanticsKind::kStatePredicate) {
+    check_state_predicate(facts, contract, options, capture, report);
+  } else {
+    report.target_statements =
+        analysis::find_target_statements(facts.program(), contract.target_fragment).size();
+    // Structural and interleaving verdicts carry their own witness; the
+    // fixed-path sanity check does not apply.
+    report.sanity_ok = true;
+    if (contract.kind == corpus::SemanticsKind::kStructuralPattern)
+      check_structural(facts, contract, capture, report);
+    else if (contract.pattern == "atomic" || contract.pattern == "eventually")
+      explore_schedules(facts, options, capture, report);
+    else
+      check_interleaving(facts, contract, capture, report);
+  }
+  report.summary_ms = facts.take_summary_ms();
   finalize_capture(capture, report, options.budget);
   record_contract_outcome(span, report, span.elapsed_ms());
   return report;

@@ -98,7 +98,9 @@ struct ContractCheckReport {
   std::string screen_reason;
   double screen_ms = 0.0;
   /// Time spent computing interprocedural summaries (Screener construction,
-  /// not counted in screen_ms; 0 when summaries are disabled).
+  /// not counted in screen_ms). The program's one build is reported by the
+  /// first check that finishes after it, 0 on every other check and when
+  /// summaries are disabled.
   double summary_ms = 0.0;
   /// True when the screener verdict made the concolic replay unnecessary.
   bool screen_skipped_concolic = false;
@@ -233,9 +235,17 @@ struct CheckOptions {
                                                      const SemanticContract& contract,
                                                      bool run_concolic);
 
+class ProgramFacts;
+
 class Checker {
  public:
-  /// Checks one contract against one program version.
+  /// Checks one contract against one program version, reusing the program's
+  /// shared facts (lisa/program_facts.hpp). `facts` must have been built with
+  /// `options.use_summaries`.
+  [[nodiscard]] ContractCheckReport check(const ProgramFacts& facts,
+                                          const SemanticContract& contract,
+                                          const CheckOptions& options) const;
+  /// Checks one contract against a program with facts of its own.
   [[nodiscard]] ContractCheckReport check(const minilang::Program& program,
                                           const SemanticContract& contract,
                                           const CheckOptions& options = {}) const;

@@ -1,17 +1,13 @@
 #include "lisa/ci_gate.hpp"
 
-#include <algorithm>
-#include <optional>
-
 #include "analysis/paths.hpp"
 #include "lisa/journal.hpp"
+#include "lisa/program_facts.hpp"
 #include "minilang/sema.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 #include "support/jsonl.hpp"
-#include "staticcheck/screener.hpp"
-#include "staticcheck/slice.hpp"
 #include "support/stopwatch.hpp"
 
 namespace lisa::core {
@@ -47,9 +43,7 @@ ContractStore ContractStore::from_json(const Json& json) {
 Json GateDecision::to_json() const {
   JsonObject root;
   root["allowed"] = allowed;
-  JsonArray violation_entries;
-  for (const std::string& violation : violations) violation_entries.push_back(Json(violation));
-  root["violations"] = Json(std::move(violation_entries));
+  root["violations"] = Json::strings(violations);
   JsonArray report_entries;
   for (const ContractCheckReport& report : reports) report_entries.push_back(report.to_json());
   root["reports"] = Json(std::move(report_entries));
@@ -82,6 +76,59 @@ Json GateDecision::to_json() const {
   return Json(std::move(root));
 }
 
+void GateDecision::record(const SemanticContract& contract, ContractCheckReport report,
+                          bool schedule_warn_only) {
+  if (!report.conclusive()) {
+    ++inconclusive_contracts;
+    needs_attention = true;
+  }
+  if (report.screen_verdict == "proved-safe" || report.screen_verdict == "proved-violated")
+    ++screened_settled;
+  else if (!report.screen_verdict.empty())
+    ++screened_unknown;
+  if (report.screen_skipped_concolic) ++concolic_skipped;
+  summary_ms += report.summary_ms;
+  if (report.schedules_explored > 0 || !report.schedule_conclusive) {
+    ++schedule_contracts;
+    schedules_explored += report.schedules_explored;
+    if (!report.schedule_conclusive) {
+      ++schedule_inconclusive;
+      // An undrained schedule space is "no violation found so far", not a
+      // pass: it blocks the commit unless the operator explicitly
+      // downgraded it. Violating interleavings block unconditionally
+      // through the passed() branch below.
+      if (schedule_warn_only) {
+        needs_attention = true;
+      } else {
+        allowed = false;
+        violations.push_back(
+            contract.id + " [" + contract.target_fragment +
+            "]: schedule exploration inconclusive — " +
+            report.schedule_inconclusive_reason +
+            " (raise --max-schedules or pass --schedule-warn-only to downgrade)");
+      }
+    }
+  }
+  if (!report.passed()) {
+    allowed = false;
+    std::string reason = contract.id + " [" + contract.target_fragment + "]: ";
+    if (report.violated > 0)
+      reason += std::to_string(report.violated) + " unguarded path(s); ";
+    if (!report.structural_violations.empty())
+      reason += std::to_string(report.structural_violations.size()) +
+                " structural violation(s); ";
+    if (report.dynamic.symbolic_violations > 0)
+      reason += std::to_string(report.dynamic.symbolic_violations) +
+                " missing-check trace(s); ";
+    if (report.schedule_violations > 0)
+      reason += std::to_string(report.schedule_violations) +
+                " violating interleaving(s), witness " + report.schedule_witness + "; ";
+    reason += contract.description;
+    violations.push_back(std::move(reason));
+  }
+  reports.push_back(std::move(report));
+}
+
 GateDecision CiGate::evaluate(const std::string& source, const ContractStore& store) const {
   return evaluate(source, store, GateRunOptions{});
 }
@@ -110,15 +157,9 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
   obs::ProvenanceLedger local_ledger;
   obs::ProvenanceLedger* ledger = run_options.ledger;
   if (history_enabled && ledger == nullptr) ledger = &local_ledger;
-  // Per-entry resume: replay eligibility is decided by each entry's slice
-  // fingerprint against the current commit, so an edit only re-checks the
-  // contracts whose verdict cone contains it.
-  std::optional<staticcheck::Screener> slice_screener;
-  std::optional<staticcheck::SliceEngine> slice_engine;
-  if (journaling && run_options.resume) {
-    slice_screener.emplace(program, options_.use_summaries);
-    slice_engine.emplace(program, slice_screener->graph(), slice_screener->summaries());
-  }
+  // One set of program facts serves every stored contract: one summary
+  // build, one schedule exploration.
+  const ProgramFacts facts(program, options_.use_summaries);
   std::string inputs_fingerprint;
   if (journaling || ledger != nullptr) {
     std::string inputs = source;
@@ -130,80 +171,26 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
       journal.begin(inputs_fingerprint);
     }
   }
-  const Checker checker;
+  CheckOptions check_options = options_;
+  check_options.ledger = ledger;
+  check_options.compute_slice_fp = journaling || ledger != nullptr;
   for (const SemanticContract& contract : store.all()) {
     // Contracts whose target no longer exists in this codebase are vacuous
     // for the commit (e.g. contracts from another system's history).
     if (analysis::find_target_statements(program, contract.target_fragment).empty() &&
         contract.kind == corpus::SemanticsKind::kStatePredicate)
       continue;
+    // Per-entry resume: replay eligibility is decided by each entry's slice
+    // fingerprint against the current commit, so an edit only re-checks the
+    // contracts whose verdict cone contains it.
     const ContractCheckReport* checkpointed =
-        journaling && run_options.resume ? journal.find(contract.id) : nullptr;
-    const bool replay =
-        checkpointed != nullptr && checkpointed->conclusive() &&
-        !checkpointed->slice_fp.empty() && slice_engine.has_value() &&
-        checkpointed->slice_fp ==
-            contract_slice_fingerprint(*slice_engine, contract, options_.run_concolic);
-    ContractCheckReport report;
-    if (replay) {
-      report = *checkpointed;
-      ++decision.resumed_contracts;
-    } else {
-      CheckOptions contract_options = options_;
-      contract_options.ledger = ledger;
-      contract_options.compute_slice_fp = journaling || ledger != nullptr;
-      report = checker.check(program, contract, contract_options);
-    }
-    if (journaling) journal.record(report);
-    if (!report.conclusive()) {
-      ++decision.inconclusive_contracts;
-      decision.needs_attention = true;
-    }
-    if (report.screen_verdict == "proved-safe" || report.screen_verdict == "proved-violated")
-      ++decision.screened_settled;
-    else if (!report.screen_verdict.empty())
-      ++decision.screened_unknown;
-    if (report.screen_skipped_concolic) ++decision.concolic_skipped;
-    decision.summary_ms += report.summary_ms;
-    if (report.schedules_explored > 0 || !report.schedule_conclusive) {
-      ++decision.schedule_contracts;
-      decision.schedules_explored += report.schedules_explored;
-      if (!report.schedule_conclusive) {
-        ++decision.schedule_inconclusive;
-        // An undrained schedule space is "no violation found so far", not a
-        // pass: it blocks the commit unless the operator explicitly
-        // downgraded it. Violating interleavings block unconditionally
-        // through the passed() branch below.
-        if (run_options.schedule_warn_only) {
-          decision.needs_attention = true;
-        } else {
-          decision.allowed = false;
-          decision.violations.push_back(
-              contract.id + " [" + contract.target_fragment +
-              "]: schedule exploration inconclusive — " +
-              report.schedule_inconclusive_reason +
-              " (raise --max-schedules or pass --schedule-warn-only to downgrade)");
-        }
-      }
-    }
-    if (!report.passed()) {
-      decision.allowed = false;
-      std::string reason = contract.id + " [" + contract.target_fragment + "]: ";
-      if (report.violated > 0)
-        reason += std::to_string(report.violated) + " unguarded path(s); ";
-      if (!report.structural_violations.empty())
-        reason += std::to_string(report.structural_violations.size()) +
-                  " structural violation(s); ";
-      if (report.dynamic.symbolic_violations > 0)
-        reason += std::to_string(report.dynamic.symbolic_violations) +
-                  " missing-check trace(s); ";
-      if (report.schedule_violations > 0)
-        reason += std::to_string(report.schedule_violations) +
-                  " violating interleaving(s), witness " + report.schedule_witness + "; ";
-      reason += contract.description;
-      decision.violations.push_back(std::move(reason));
-    }
-    decision.reports.push_back(std::move(report));
+        journal.resumable(contract, facts, options_.run_concolic);
+    if (checkpointed != nullptr) ++decision.resumed_contracts;
+    ContractCheckReport report = checkpointed != nullptr
+                                     ? *checkpointed
+                                     : Checker().check(facts, contract, check_options);
+    journal.record(report);
+    decision.record(contract, std::move(report), run_options.schedule_warn_only);
   }
   decision.evaluation_ms = timer.elapsed_ms();
   obs::MetricsRegistry& registry = obs::metrics();
@@ -228,44 +215,14 @@ GateDecision CiGate::evaluate(const std::string& source, const ContractStore& st
       for (const SemanticContract& contract : store.all()) ids += contract.id + "\n";
       label = support::fnv1a_fingerprint(ids);
     }
-    obs::RunRecord record;
-    record.kind = "gate";
-    record.label = std::move(label);
-    record.input_fingerprint = inputs_fingerprint;
-    std::int64_t total_smt_queries = 0;
-    std::vector<std::string> smt_digests;
-    for (const ContractCheckReport& report : decision.reports) {
-      obs::ContractOutcome outcome;
-      outcome.passed = report.passed();
-      outcome.conclusive = report.conclusive();
-      outcome.verdict = !outcome.conclusive ? "inconclusive"
-                        : outcome.passed    ? "passed"
-                                            : "violated";
-      outcome.signature_digest = support::fnv1a_fingerprint(report.verdict_signature());
-      outcome.slice_fp = report.slice_fp;
-      if (const obs::ContractCapture* capture = ledger->find(report.contract_id)) {
-        outcome.smt_queries = static_cast<std::int64_t>(capture->smt_queries.size());
-        for (const obs::SmtQueryEvidence& query : capture->smt_queries)
-          smt_digests.push_back(query.digest);
-      }
-      total_smt_queries += outcome.smt_queries;
-      record.contracts[report.contract_id] = std::move(outcome);
-    }
-    if (!smt_digests.empty()) {
-      std::sort(smt_digests.begin(), smt_digests.end());
-      std::string joined;
-      for (const std::string& digest : smt_digests) joined += digest + "\n";
-      record.smt_digest = support::fnv1a_fingerprint(joined);
-    }
+    obs::RunRecord record = history_record("gate", std::move(label), inputs_fingerprint,
+                                           decision.reports, *ledger);
     // evaluation_ms was captured BEFORE this block, so history bookkeeping
     // cannot regress the very latency metric the drift rules watch.
     record.metrics["evaluation_ms"] = decision.evaluation_ms;
     record.metrics["summary_ms"] = decision.summary_ms;
     record.metrics["settled_fraction"] = decision.settled_fraction();
-    record.metrics["smt_queries"] = static_cast<double>(total_smt_queries);
-    record.metrics["contracts"] = static_cast<double>(decision.reports.size());
     record.metrics["violations"] = static_cast<double>(decision.violations.size());
-    record.metrics["inconclusive"] = static_cast<double>(decision.inconclusive_contracts);
     // Longitudinal interleaving coverage: `lisa trends` watches these to
     // catch a fleet whose schedule exploration quietly stops concluding.
     // Only written when the explorer ran, keeping thread-free history

@@ -108,6 +108,12 @@ struct GateDecision {
                      schedule_contracts;
   }
 
+  /// Folds one contract's report into the decision: counts, needs-attention
+  /// and the narrated block reasons. `schedule_warn_only` mirrors
+  /// GateRunOptions::schedule_warn_only.
+  void record(const SemanticContract& contract, ContractCheckReport report,
+              bool schedule_warn_only);
+
   [[nodiscard]] support::Json to_json() const;
 };
 

@@ -1,5 +1,7 @@
 #include "lisa/composition.hpp"
 
+#include "lisa/program_facts.hpp"
+
 namespace lisa::core {
 
 const char* property_status_name(PropertyStatus status) {
@@ -30,11 +32,12 @@ PropertyReport Composer::evaluate(const minilang::Program& program,
                                   const HighLevelProperty& property) const {
   PropertyReport report;
   report.property_id = property.id;
+  const ProgramFacts facts(program, options_.use_summaries);
   const Checker checker;
   bool any_violation = false;
   bool any_unresolved = false;
   for (const SemanticContract& contract : property.constituents) {
-    ContractCheckReport constituent = checker.check(program, contract, options_);
+    ContractCheckReport constituent = checker.check(facts, contract, options_);
     if (constituent.violated > 0 || !constituent.structural_violations.empty() ||
         constituent.dynamic.concrete_violations > 0) {
       any_violation = true;

@@ -1,8 +1,10 @@
 #include "lisa/journal.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 
+#include "lisa/program_facts.hpp"
 #include "support/jsonl.hpp"
 #include "support/log.hpp"
 
@@ -84,6 +86,58 @@ void CheckJournal::record(const ContractCheckReport& report) {
 const ContractCheckReport* CheckJournal::find(const std::string& contract_id) const {
   const auto it = entries_.find(contract_id);
   return it == entries_.end() ? nullptr : &it->second;
+}
+
+const ContractCheckReport* CheckJournal::resumable(const SemanticContract& contract,
+                                                    const ProgramFacts& facts,
+                                                    bool run_concolic) const {
+  const ContractCheckReport* entry = find(contract.id);
+  if (entry == nullptr || !entry->conclusive() || entry->slice_fp.empty()) return nullptr;
+  return entry->slice_fp ==
+                 contract_slice_fingerprint(facts.screener().slicer(), contract, run_concolic)
+             ? entry
+             : nullptr;
+}
+
+obs::RunRecord history_record(std::string kind, std::string label,
+                              std::string input_fingerprint,
+                              const std::vector<ContractCheckReport>& reports,
+                              const obs::ProvenanceLedger& ledger) {
+  obs::RunRecord record;
+  record.kind = std::move(kind);
+  record.label = std::move(label);
+  record.input_fingerprint = std::move(input_fingerprint);
+  int inconclusive = 0;
+  std::int64_t total_smt_queries = 0;
+  std::vector<std::string> smt_digests;
+  for (const ContractCheckReport& report : reports) {
+    obs::ContractOutcome outcome;
+    outcome.passed = report.passed();
+    outcome.conclusive = report.conclusive();
+    if (!outcome.conclusive) ++inconclusive;
+    outcome.verdict = !outcome.conclusive ? "inconclusive"
+                      : outcome.passed    ? "passed"
+                                          : "violated";
+    outcome.signature_digest = support::fnv1a_fingerprint(report.verdict_signature());
+    outcome.slice_fp = report.slice_fp;
+    if (const obs::ContractCapture* capture = ledger.find(report.contract_id)) {
+      outcome.smt_queries = static_cast<std::int64_t>(capture->smt_queries.size());
+      for (const obs::SmtQueryEvidence& query : capture->smt_queries)
+        smt_digests.push_back(query.digest);
+    }
+    total_smt_queries += outcome.smt_queries;
+    record.contracts[report.contract_id] = std::move(outcome);
+  }
+  if (!smt_digests.empty()) {
+    std::sort(smt_digests.begin(), smt_digests.end());
+    std::string joined;
+    for (const std::string& digest : smt_digests) joined += digest + "\n";
+    record.smt_digest = support::fnv1a_fingerprint(joined);
+  }
+  record.metrics["smt_queries"] = static_cast<double>(total_smt_queries);
+  record.metrics["contracts"] = static_cast<double>(reports.size());
+  record.metrics["inconclusive"] = static_cast<double>(inconclusive);
+  return record;
 }
 
 }  // namespace lisa::core

@@ -29,6 +29,8 @@
 #include <vector>
 
 #include "lisa/checker.hpp"
+#include "obs/history.hpp"
+#include "obs/provenance.hpp"
 
 namespace lisa::core {
 
@@ -58,6 +60,14 @@ class CheckJournal {
   /// only — records written this run are not replayed back.
   [[nodiscard]] const ContractCheckReport* find(const std::string& contract_id) const;
 
+  /// The journaled report to replay for `contract` on resume, or nullptr:
+  /// only a conclusive entry whose slice fingerprint still matches the
+  /// current program's verdict cone stands. Inconclusive entries
+  /// (budget-cut, fault-degraded) and entries whose cone changed re-check.
+  [[nodiscard]] const ContractCheckReport* resumable(const SemanticContract& contract,
+                                                     const ProgramFacts& facts,
+                                                     bool run_concolic) const;
+
   [[nodiscard]] std::size_t loaded_entries() const { return entries_.size(); }
   [[nodiscard]] const std::string& path() const { return path_; }
 
@@ -66,5 +76,14 @@ class CheckJournal {
   bool writable_ = false;
   std::map<std::string, ContractCheckReport> entries_;
 };
+
+/// The run-history record (obs/history.hpp) of one run's reports: each
+/// contract's outcome, the `contracts`, `inconclusive` and `smt_queries`
+/// metrics, and the order-insensitive digest of the SMT queries `ledger`
+/// captured. Callers add their stage timings.
+[[nodiscard]] obs::RunRecord history_record(std::string kind, std::string label,
+                                            std::string input_fingerprint,
+                                            const std::vector<ContractCheckReport>& reports,
+                                            const obs::ProvenanceLedger& ledger);
 
 }  // namespace lisa::core

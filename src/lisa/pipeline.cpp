@@ -1,15 +1,11 @@
 #include "lisa/pipeline.hpp"
 
-#include <algorithm>
-#include <optional>
-
 #include "lisa/journal.hpp"
+#include "lisa/program_facts.hpp"
 #include "minilang/sema.hpp"
 #include "obs/history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "staticcheck/screener.hpp"
-#include "staticcheck/slice.hpp"
 #include "support/jsonl.hpp"
 #include "support/log.hpp"
 
@@ -72,9 +68,7 @@ Json PipelineResult::to_json() const {
   for (const SemanticContract& contract : contracts)
     contract_entries.push_back(contract.to_json());
   root["contracts"] = Json(std::move(contract_entries));
-  JsonArray rejected_entries;
-  for (const std::string& entry : rejected) rejected_entries.push_back(Json(entry));
-  root["rejected"] = Json(std::move(rejected_entries));
+  root["rejected"] = Json::strings(rejected);
   JsonArray report_entries;
   for (const ContractCheckReport& report : reports)
     report_entries.push_back(report.to_json());
@@ -187,48 +181,32 @@ PipelineResult Pipeline::run(const corpus::FailureTicket& ticket,
   {
     obs::ScopedSpan stage("pipeline.check");
     const minilang::Program program = minilang::parse_checked(source_to_check);
-    const Checker checker;
+    const ProgramFacts facts(program, check_options_.use_summaries);
     CheckJournal journal(run_options.journal_path);
     const bool journaling = !run_options.journal_path.empty();
-    // Resume replay is decided per entry by slice fingerprints, not by a
-    // whole-input gate: after a one-function edit only the contracts whose
-    // verdict cone contains the edit re-check. The engine recomputes each
-    // contract's fingerprint against the current program for the match.
-    std::optional<staticcheck::Screener> slice_screener;
-    std::optional<staticcheck::SliceEngine> slice_engine;
-    if (journaling && run_options.resume) {
-      slice_screener.emplace(program, check_options_.use_summaries);
-      slice_engine.emplace(program, slice_screener->graph(), slice_screener->summaries());
-    }
     if (journaling) {
       const std::string fingerprint =
           CheckJournal::fingerprint(ticket.case_id + "\n" + source_to_check);
       if (run_options.resume) (void)journal.load("");
       journal.begin(fingerprint);
     }
+    CheckOptions check_options = check_options_;
+    check_options.ledger = ledger;
+    check_options.compute_slice_fp = journaling || ledger != nullptr;
     for (const SemanticContract& contract : result.contracts) {
-      // Resume: a conclusive checkpointed report whose slice fingerprint
-      // still matches stands; inconclusive ones (budget-cut, fault-degraded)
-      // and entries whose cone changed get re-checked here.
+      // Resume is decided per entry, not by a whole-input gate: after a
+      // one-function edit only the contracts whose verdict cone contains
+      // the edit re-check.
       const ContractCheckReport* checkpointed =
-          journaling && run_options.resume ? journal.find(contract.id) : nullptr;
-      const bool replay =
-          checkpointed != nullptr && checkpointed->conclusive() &&
-          !checkpointed->slice_fp.empty() && slice_engine.has_value() &&
-          checkpointed->slice_fp == contract_slice_fingerprint(
-                                        *slice_engine, contract, check_options_.run_concolic);
-      ContractCheckReport report;
-      if (replay) {
-        report = *checkpointed;
+          journal.resumable(contract, facts, check_options_.run_concolic);
+      if (checkpointed != nullptr) {
         ++result.resumed_contracts;
         obs::metrics().counter("pipeline.resumed_contracts").add();
-      } else {
-        CheckOptions contract_options = check_options_;
-        contract_options.ledger = ledger;
-        contract_options.compute_slice_fp = journaling || ledger != nullptr;
-        report = checker.check(program, contract, contract_options);
       }
-      if (journaling) journal.record(report);
+      ContractCheckReport report = checkpointed != nullptr
+                                       ? *checkpointed
+                                       : Checker().check(facts, contract, check_options);
+      journal.record(report);
       support::log(report.passed() ? support::LogLevel::debug : support::LogLevel::info,
                    "contract ", contract.id, ": ",
                    report.passed() ? "passed" : "VIOLATED", " (screen=",
@@ -256,38 +234,10 @@ PipelineResult Pipeline::run(const corpus::FailureTicket& ticket,
   if (history_enabled) {
     obs::RunHistory history(run_options.history_path);
     (void)history.load();
-    obs::RunRecord record;
-    record.kind = "check";
-    record.label = ticket.case_id;
-    record.input_fingerprint =
-        CheckJournal::fingerprint(ticket.case_id + "\n" + source_to_check);
-    int inconclusive = 0;
-    std::int64_t total_smt_queries = 0;
-    std::vector<std::string> smt_digests;
-    for (const ContractCheckReport& report : result.reports) {
-      obs::ContractOutcome outcome;
-      outcome.passed = report.passed();
-      outcome.conclusive = report.conclusive();
-      if (!outcome.conclusive) ++inconclusive;
-      outcome.verdict = !outcome.conclusive ? "inconclusive"
-                        : outcome.passed    ? "passed"
-                                            : "violated";
-      outcome.signature_digest = support::fnv1a_fingerprint(report.verdict_signature());
-      outcome.slice_fp = report.slice_fp;
-      if (const obs::ContractCapture* capture = ledger->find(report.contract_id)) {
-        outcome.smt_queries = static_cast<std::int64_t>(capture->smt_queries.size());
-        for (const obs::SmtQueryEvidence& query : capture->smt_queries)
-          smt_digests.push_back(query.digest);
-      }
-      total_smt_queries += outcome.smt_queries;
-      record.contracts[report.contract_id] = std::move(outcome);
-    }
-    if (!smt_digests.empty()) {
-      std::sort(smt_digests.begin(), smt_digests.end());
-      std::string joined;
-      for (const std::string& digest : smt_digests) joined += digest + "\n";
-      record.smt_digest = support::fnv1a_fingerprint(joined);
-    }
+    obs::RunRecord record = history_record(
+        "check", ticket.case_id,
+        CheckJournal::fingerprint(ticket.case_id + "\n" + source_to_check), result.reports,
+        *ledger);
     record.metrics["infer_ms"] = result.timings.infer_ms;
     record.metrics["translate_ms"] = result.timings.translate_ms;
     record.metrics["check_ms"] = result.timings.check_ms;
@@ -295,10 +245,7 @@ PipelineResult Pipeline::run(const corpus::FailureTicket& ticket,
     record.metrics["summary_ms"] = result.timings.summary_ms;
     record.metrics["total_ms"] = result.timings.total_ms;
     record.metrics["settled_fraction"] = result.screening().settled_fraction();
-    record.metrics["smt_queries"] = static_cast<double>(total_smt_queries);
-    record.metrics["contracts"] = static_cast<double>(result.reports.size());
     record.metrics["violations"] = static_cast<double>(result.total_violations());
-    record.metrics["inconclusive"] = static_cast<double>(inconclusive);
     // Interleaving coverage for `lisa trends`; written only when the
     // explorer ran so thread-free history records stay byte-identical.
     if (result.schedules_explored() > 0) {

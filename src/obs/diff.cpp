@@ -149,9 +149,7 @@ Json DiffReport::to_json() const {
     entry["before"] = contract.before;
     entry["after"] = contract.after;
     entry["flipped"] = contract.flipped;
-    JsonArray note_entries;
-    for (const std::string& note : contract.notes) note_entries.push_back(Json(note));
-    entry["notes"] = Json(std::move(note_entries));
+    entry["notes"] = Json::strings(contract.notes);
     contract_entries.push_back(Json(std::move(entry)));
   }
   root["contracts"] = Json(std::move(contract_entries));
@@ -280,8 +278,6 @@ std::string render_diff_text(const DiffReport& report) {
   return out;
 }
 
-namespace {
-
 std::string html_escape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
@@ -303,30 +299,28 @@ const char* verdict_class(const std::string& verdict) {
   return "warn";
 }
 
-}  // namespace
+std::string html_page_head(const std::string& title, const char* extra_css) {
+  return "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n<title>" + title +
+         "</title>\n<style>\n"
+         "body{font-family:system-ui,sans-serif;margin:2rem auto;max-width:64rem;"
+         "color:#1a1a2e;line-height:1.45}\n"
+         "code{background:#f2f2f7;padding:0 .2em;border-radius:3px;"
+         "font-size:.92em;word-break:break-all}\n"
+         "table{border-collapse:collapse;margin:.5rem 0;width:100%}\n"
+         "th,td{border:1px solid #d8d8e0;padding:.25rem .5rem;text-align:left;"
+         "vertical-align:top;font-size:.9rem}\n"
+         "th{background:#f7f7fb}\n"
+         ".badge{padding:.1em .5em;border-radius:1em;font-size:.85em;color:#fff}\n"
+         ".badge.bad,td.bad{background:#c0392b;color:#fff}\n"
+         ".badge.good,td.good{background:#1e8449;color:#fff}\n"
+         ".badge.warn{background:#b9770e}\n"
+         ".meta{color:#555;font-size:.9rem;margin:.2rem 0}\n"
+         + extra_css + "</style></head><body>\n";
+}
 
 std::string render_diff_html(const DiffReport& report) {
-  // Same inline-CSS conventions as render_ledger_html: self-contained, no
-  // external assets, suitable for CI artifact upload.
-  std::string out;
-  out +=
-      "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n"
-      "<title>LISA gate diff</title>\n<style>\n"
-      "body{font-family:system-ui,sans-serif;margin:2rem auto;max-width:64rem;"
-      "color:#1a1a2e;line-height:1.45}\n"
-      "code{background:#f2f2f7;padding:0 .2em;border-radius:3px;"
-      "font-size:.92em;word-break:break-all}\n"
-      "table{border-collapse:collapse;margin:.5rem 0;width:100%}\n"
-      "th,td{border:1px solid #d8d8e0;padding:.25rem .5rem;text-align:left;"
-      "vertical-align:top;font-size:.9rem}\n"
-      "th{background:#f7f7fb}\n"
-      ".badge{padding:.1em .5em;border-radius:1em;font-size:.85em;color:#fff}\n"
-      ".badge.bad,td.bad{background:#c0392b;color:#fff}\n"
-      ".badge.good,td.good{background:#1e8449;color:#fff}\n"
-      ".badge.warn{background:#b9770e}\n"
-      ".meta{color:#555;font-size:.9rem;margin:.2rem 0}\n"
-      "ul.notes{margin:.2rem 0 .6rem 1.2rem;font-size:.9rem}\n"
-      "</style></head><body>\n";
+  std::string out = html_page_head("LISA gate diff",
+                                   "ul.notes{margin:.2rem 0 .6rem 1.2rem;font-size:.9rem}\n");
   out += "<h1>LISA gate diff</h1>\n";
   out += "<p class=\"meta\"><code>" + html_escape(report.label_a) + "</code> &rarr; <code>" +
          html_escape(report.label_b) + "</code> · fingerprints <code>" +

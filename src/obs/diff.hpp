@@ -82,4 +82,12 @@ struct DiffReport {
 /// render_ledger_html (obs/explain.hpp) — works as an offline CI artifact.
 [[nodiscard]] std::string render_diff_html(const DiffReport& report);
 
+// HTML helpers shared by render_diff_html and render_ledger_html.
+[[nodiscard]] std::string html_escape(const std::string& text);
+/// Badge class for a verdict: "bad" (violated), "good" (passed), else "warn".
+[[nodiscard]] const char* verdict_class(const std::string& verdict);
+/// A self-contained page head up to <body>: inline CSS, no external assets;
+/// `extra_css` adds the page's own rules.
+[[nodiscard]] std::string html_page_head(const std::string& title, const char* extra_css);
+
 }  // namespace lisa::obs

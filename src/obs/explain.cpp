@@ -7,6 +7,7 @@
 
 #include "minilang/interp.hpp"
 #include "minilang/printer.hpp"
+#include "obs/diff.hpp"
 #include "support/strings.hpp"
 
 namespace lisa::obs {
@@ -31,18 +32,6 @@ constexpr std::int64_t kReplayFuel = 200'000;
 /// remaining test body adds nothing, and interp.cpp's catch-all sites all
 /// rethrow, so this unwinds cleanly out of run_test.
 struct StopReplay {};
-
-bool concrete_cmp(std::int64_t a, CmpOp op, std::int64_t b) {
-  switch (op) {
-    case CmpOp::kEq: return a == b;
-    case CmpOp::kNe: return a != b;
-    case CmpOp::kLt: return a < b;
-    case CmpOp::kLe: return a <= b;
-    case CmpOp::kGt: return a > b;
-    case CmpOp::kGe: return a >= b;
-  }
-  return false;
-}
 
 std::string truncate(std::string text, std::size_t limit) {
   if (text.size() > limit) text = text.substr(0, limit - 3) + "...";
@@ -507,7 +496,7 @@ class Narrator final : public minilang::ExecObserver {
       rhs_shown = atom.rhs_var + " = " + std::to_string(rhs);
     }
     *shown = atom.lhs + " = " + std::to_string(value.as_int()) + ", " + rhs_shown;
-    return concrete_cmp(value.as_int(), atom.op, rhs);
+    return smt::cmp_holds(value.as_int(), atom.op, rhs);
   }
 
   /// Returns the concrete value of `f`. `negated` tracks the polarity of the
@@ -754,27 +743,6 @@ std::string render_capture_text(const ContractCapture& capture) {
 
 namespace {
 
-std::string html_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
-const char* verdict_class(const std::string& verdict) {
-  if (verdict == "violated") return "bad";
-  if (verdict == "passed") return "good";
-  return "warn";
-}
-
 void render_contract_html(const ContractCapture& capture, std::string* out) {
   *out += "<details class=\"contract\" " +
           std::string(capture.verdict == "violated" ? "open" : "") + ">\n";
@@ -905,28 +873,12 @@ void render_contract_html(const ContractCapture& capture, std::string* out) {
 }  // namespace
 
 std::string render_ledger_html(const ProvenanceLedger& ledger) {
-  std::string out;
-  out +=
-      "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n"
-      "<title>LISA gate failure report</title>\n<style>\n"
-      "body{font-family:system-ui,sans-serif;margin:2rem auto;max-width:64rem;"
-      "color:#1a1a2e;line-height:1.45}\n"
-      "code{background:#f2f2f7;padding:0 .2em;border-radius:3px;"
-      "font-size:.92em;word-break:break-all}\n"
-      "table{border-collapse:collapse;margin:.5rem 0;width:100%}\n"
-      "th,td{border:1px solid #d8d8e0;padding:.25rem .5rem;text-align:left;"
-      "vertical-align:top;font-size:.9rem}\n"
-      "th{background:#f7f7fb}\n"
-      ".badge{padding:.1em .5em;border-radius:1em;font-size:.85em;color:#fff}\n"
-      ".badge.bad,td.bad{background:#c0392b;color:#fff}\n"
-      ".badge.good,td.good{background:#1e8449;color:#fff}\n"
-      ".badge.warn{background:#b9770e}\n"
-      ".meta{color:#555;font-size:.9rem;margin:.2rem 0}\n"
+  std::string out = html_page_head(
+      "LISA gate failure report",
       "details.contract{border:1px solid #d8d8e0;border-radius:6px;"
       "padding:.5rem 1rem;margin:.75rem 0}\n"
       "summary{cursor:pointer;font-weight:600}\n"
-      "h4{margin:.8rem 0 .2rem}\n"
-      "</style></head><body>\n";
+      "h4{margin:.8rem 0 .2rem}\n");
   out += "<h1>LISA gate failure report</h1>\n";
   out += "<p class=\"meta\">run fingerprint <code>" + html_escape(ledger.run_fingerprint()) +
          "</code> · " + std::to_string(ledger.size()) + " contract(s)</p>\n";

@@ -58,10 +58,8 @@ RunRecord RunRecord::from_json(const Json& json) {
       if (!entry.is_object()) continue;
       ContractOutcome outcome;
       outcome.verdict = entry.get_string("verdict");
-      outcome.passed = entry.has("passed") && entry.at("passed").is_bool() &&
-                       entry.at("passed").as_bool();
-      outcome.conclusive = entry.has("conclusive") && entry.at("conclusive").is_bool() &&
-                           entry.at("conclusive").as_bool();
+      outcome.passed = entry.get_bool("passed");
+      outcome.conclusive = entry.get_bool("conclusive");
       outcome.signature_digest = entry.get_string("signature_digest");
       outcome.slice_fp = entry.get_string("slice_fp");
       outcome.smt_queries = entry.get_int("smt_queries");

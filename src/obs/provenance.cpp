@@ -164,8 +164,7 @@ Narration narration_from_json(const Json& json) {
   Narration narration;
   narration.kind = json.get_string("kind");
   narration.test = json.get_string("test");
-  narration.reproduced = json.has("reproduced") && json.at("reproduced").is_bool() &&
-                         json.at("reproduced").as_bool();
+  narration.reproduced = json.get_bool("reproduced");
   if (json.has("steps") && json.at("steps").is_array()) {
     for (const Json& item : json.at("steps").as_array()) {
       NarrationStep step;
@@ -183,7 +182,7 @@ Narration narration_from_json(const Json& json) {
       PredicateTerm term;
       term.text = item.get_string("text");
       term.value = item.get_string("value");
-      term.holds = item.has("holds") && item.at("holds").is_bool() && item.at("holds").as_bool();
+      term.holds = item.get_bool("holds");
       narration.predicate.push_back(std::move(term));
     }
   }
@@ -195,9 +194,7 @@ Json proposal_to_json(const ProposalEvidence& proposal) {
   JsonObject entry;
   entry["case_id"] = proposal.case_id;
   entry["high_level"] = proposal.high_level;
-  JsonArray low_level;
-  for (const std::string& item : proposal.low_level) low_level.push_back(Json(item));
-  entry["low_level"] = Json(std::move(low_level));
+  entry["low_level"] = Json::strings(proposal.low_level);
   entry["succeeded"] = proposal.succeeded;
   entry["attempts"] = proposal.attempts;
   if (proposal.transient_errors > 0) entry["transient_errors"] = proposal.transient_errors;
@@ -211,11 +208,8 @@ ProposalEvidence proposal_from_json(const Json& json) {
   ProposalEvidence proposal;
   proposal.case_id = json.get_string("case_id");
   proposal.high_level = json.get_string("high_level");
-  if (json.has("low_level") && json.at("low_level").is_array())
-    for (const Json& item : json.at("low_level").as_array())
-      if (item.is_string()) proposal.low_level.push_back(item.as_string());
-  proposal.succeeded = !json.has("succeeded") || !json.at("succeeded").is_bool() ||
-                       json.at("succeeded").as_bool();
+  proposal.low_level = json.get_strings("low_level");
+  proposal.succeeded = json.get_bool("succeeded", true);
   proposal.attempts = static_cast<int>(json.get_int("attempts"));
   proposal.transient_errors = static_cast<int>(json.get_int("transient_errors"));
   proposal.validation_failures = static_cast<int>(json.get_int("validation_failures"));
@@ -297,10 +291,8 @@ ContractCapture ContractCapture::from_json(const Json& json) {
   capture.fingerprint = json.get_string("fingerprint");
   capture.slice_fp = json.get_string("slice_fp");
   capture.verdict = json.get_string("verdict");
-  capture.passed = json.has("passed") && json.at("passed").is_bool() &&
-                   json.at("passed").as_bool();
-  capture.conclusive = json.has("conclusive") && json.at("conclusive").is_bool() &&
-                       json.at("conclusive").as_bool();
+  capture.passed = json.get_bool("passed");
+  capture.conclusive = json.get_bool("conclusive");
   if (json.has("screen") && json.at("screen").is_object()) {
     const Json& screen = json.at("screen");
     capture.screen_verdict = screen.get_string("verdict");
@@ -310,9 +302,7 @@ ContractCapture ContractCapture::from_json(const Json& json) {
   if (json.has("schedule") && json.at("schedule").is_object()) {
     const Json& schedule = json.at("schedule");
     capture.schedules_explored = static_cast<int>(schedule.get_int("explored"));
-    capture.schedule_conclusive = !schedule.has("conclusive") ||
-                                  !schedule.at("conclusive").is_bool() ||
-                                  schedule.at("conclusive").as_bool();
+    capture.schedule_conclusive = schedule.get_bool("conclusive", true);
     capture.schedule_witness = schedule.get_string("witness");
     capture.schedule_reason = schedule.get_string("reason");
   }
@@ -331,8 +321,7 @@ ContractCapture ContractCapture::from_json(const Json& json) {
   if (json.has("budget") && json.at("budget").is_object()) {
     const Json& entry = json.at("budget");
     capture.budget.attached = true;
-    capture.budget.exhausted = entry.has("exhausted") && entry.at("exhausted").is_bool() &&
-                               entry.at("exhausted").as_bool();
+    capture.budget.exhausted = entry.get_bool("exhausted");
     capture.budget.resource = entry.get_string("resource");
     capture.budget.reason = entry.get_string("reason");
     if (entry.has("charges") && entry.at("charges").is_object())

@@ -73,8 +73,10 @@ struct ScreenResult {
   double elapsed_ms = 0.0;
 };
 
-/// Screens contracts against one program. Builds the call graph once and
-/// caches per-function CFGs + dataflow facts; the program must outlive it.
+/// Screens contracts against one program. Builds the call graph (and the
+/// summaries) once and caches per-function CFGs and the slice engine; the
+/// dataflow facts are not cached: facts_at re-runs the nullness and interval
+/// analyses on every call. The program must outlive it.
 class Screener {
  public:
   /// `use_summaries` computes interprocedural function summaries up front
@@ -129,6 +131,10 @@ class Screener {
 
   [[nodiscard]] const analysis::CallGraph& graph() const { return graph_; }
 
+  /// The slice engine over this screener's graph and summaries, built on
+  /// first use — the one every contract fingerprint of this program uses.
+  [[nodiscard]] const SliceEngine& slicer() const;
+
   /// The interprocedural summaries, or nullptr when disabled. Exposes
   /// computation stats (components, fixpoint rounds, elapsed time) for the
   /// pipeline report and the ablation bench.
@@ -138,7 +144,6 @@ class Screener {
 
  private:
   const Cfg& cfg_for(const minilang::FuncDecl& fn) const;
-  const SliceEngine& slicer() const;
 
   /// Slice-based irrelevance rule: true when the contract's slice shows the
   /// footprint is written only by fully literal constructions, every target

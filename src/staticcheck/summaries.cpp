@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "minilang/interp.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "staticcheck/cfg.hpp"
 #include "staticcheck/concurrency.hpp"
@@ -390,6 +391,7 @@ CallEffect SummaryMap::effect_of(const std::string& callee) const {
 
 SummaryMap SummaryMap::compute(const Program& program, const analysis::CallGraph& graph) {
   obs::ScopedSpan span("summaries.compute");
+  obs::metrics().counter("summaries.builds").add();
   if (support::faultpoint("summaries.fixpoint") != support::FaultAction::kNone)
     throw std::runtime_error("injected fault at summaries.fixpoint");
   const support::Stopwatch timer;

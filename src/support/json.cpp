@@ -282,4 +282,16 @@ std::string Json::pretty() const {
 
 Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
 
+std::vector<std::string> Json::get_strings(const std::string& key) const {
+  std::vector<std::string> items;
+  if (has(key) && at(key).is_array())
+    for (const Json& item : at(key).as_array())
+      if (item.is_string()) items.push_back(item.as_string());
+  return items;
+}
+
+Json Json::strings(const std::vector<std::string>& items) {
+  return Json(JsonArray(items.begin(), items.end()));
+}
+
 }  // namespace lisa::support

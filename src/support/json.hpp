@@ -91,6 +91,13 @@ class Json {
     if (!has(key) || !at(key).is_number()) return fallback;
     return at(key).as_int();
   }
+  [[nodiscard]] bool get_bool(const std::string& key, bool fallback = false) const {
+    return has(key) && at(key).is_bool() ? at(key).as_bool() : fallback;
+  }
+  /// The string elements of array member `key` (empty when absent).
+  [[nodiscard]] std::vector<std::string> get_strings(const std::string& key) const;
+  /// An array of strings.
+  [[nodiscard]] static Json strings(const std::vector<std::string>& items);
 
   /// Serializes compactly (no whitespace).
   [[nodiscard]] std::string dump() const;

@@ -592,7 +592,7 @@ int cmd_slice(const std::string& case_id, int argc, char** argv) {
 
   const minilang::Program program = minilang::parse_checked(source);
   const staticcheck::Screener screener(program);
-  const staticcheck::SliceEngine engine(program, screener.graph(), screener.summaries());
+  const staticcheck::SliceEngine& engine = screener.slicer();
 
   support::JsonArray entries;
   for (const core::SemanticContract& contract : translation.contracts) {
