@@ -317,7 +317,7 @@ bool ScheduleExplorer::test_spawns(const std::string& test_name) const {
 }
 
 void ScheduleExplorer::explore_into(const std::string& test_name,
-                                    ScheduleExplorationResult& out) {
+                                    ScheduleExplorationResult& out, std::int64_t& switches) {
   const int bound = options_.max_schedules > 0 ? options_.max_schedules : 1;
   const auto charge = [&]() -> bool {
     return options_.budget == nullptr || options_.budget->charge_schedule();
@@ -362,6 +362,7 @@ void ScheduleExplorer::explore_into(const std::string& test_name,
     const minilang::ScheduleRunResult run =
         interp.run_scheduled_test(test_name, controller);
     ++out.schedules_explored;
+    switches += run.switches;
     if (run.pruned) {
       // Sleep-set cut: this interleaving only permutes commuting segments
       // of one already explored. A charged probe, not a verdict.
@@ -397,6 +398,7 @@ void ScheduleExplorer::explore_into(const std::string& test_name,
     const minilang::ScheduleRunResult run =
         interp.run_scheduled_test(test_name, controller);
     ++out.schedules_explored;
+    switches += run.switches;
     if (run.degraded) {
       note_degraded(run);
     } else if (!run.test_passed) {
@@ -410,6 +412,7 @@ ScheduleExplorationResult ScheduleExplorer::explore() {
   obs::ScopedSpan span("schedule.explore");
   obs::metrics().counter("schedule.explorations").add();
   ScheduleExplorationResult out;
+  std::int64_t switches = 0;  // fiber switches, published once per exploration
   const support::FaultAction fault = support::faultpoint("schedule.explore");
   if (fault != support::FaultAction::kNone) {
     out.conclusive = false;
@@ -419,10 +422,11 @@ ScheduleExplorationResult ScheduleExplorer::explore() {
     for (const FuncDecl* test : program_.functions_with("test")) {
       if (!test_spawns(test->name)) continue;
       ++out.tests_with_threads;
-      explore_into(test->name, out);
+      explore_into(test->name, out, switches);
       if (out.violation_found) break;  // first violating schedule decides the verdict
     }
   }
+  obs::metrics().counter("sched.switches").add(switches);
   span.attr("tests_with_threads", out.tests_with_threads);
   span.attr("schedules", out.schedules_explored);
   span.attr("conclusive", out.conclusive);
@@ -437,7 +441,9 @@ ScheduleExplorationResult ScheduleExplorer::explore_test(const std::string& test
     return out;
   }
   out.tests_with_threads = 1;
-  explore_into(test_name, out);
+  std::int64_t switches = 0;
+  explore_into(test_name, out, switches);
+  obs::metrics().counter("sched.switches").add(switches);
   return out;
 }
 
@@ -456,9 +462,8 @@ constexpr std::size_t kNarrationMaxSteps = 400;
 constexpr std::int64_t kNarrationFuel = 200'000;
 
 /// Records the interleaved step trace of a witness replay, each step tagged
-/// with the MiniLang thread that executed it. Exactly one thread runs
-/// interpreter code at a time (the scheduler hands a single execution token
-/// between OS threads), so the unsynchronized appends are safe.
+/// with the MiniLang thread that executed it. Every MiniLang thread is a
+/// fiber on the replaying OS thread, so the appends need no synchronization.
 class ScheduleNarrator final : public minilang::ExecObserver {
  public:
   explicit ScheduleNarrator(obs::Narration* out) : out_(out) {}

@@ -99,7 +99,9 @@ class ScheduleExplorer {
   [[nodiscard]] bool test_spawns(const std::string& test_name) const;
 
  private:
-  void explore_into(const std::string& test_name, ScheduleExplorationResult& out);
+  /// Adds the fiber switches of every run to `switches`.
+  void explore_into(const std::string& test_name, ScheduleExplorationResult& out,
+                    std::int64_t& switches);
 
   const minilang::Program& program_;
   ScheduleExploreOptions options_;

@@ -31,8 +31,6 @@ class TfIdfModel {
   /// Cosine similarity of two embeddings (0 when either is empty).
   [[nodiscard]] static double cosine(const SparseVector& a, const SparseVector& b);
 
-  [[nodiscard]] std::size_t vocabulary_size() const { return idf_.size(); }
-
  private:
   std::map<std::string, double> idf_;
   std::size_t document_count_ = 0;

@@ -130,7 +130,6 @@ class Pipeline {
   /// Retry policy for the inference stage (bounded attempts, exponential
   /// backoff). Tests turn sleeping off.
   void set_retry_policy(inference::RetryPolicy policy) { retry_policy_ = policy; }
-  [[nodiscard]] const inference::RetryPolicy& retry_policy() const { return retry_policy_; }
 
  private:
   inference::MockLlm llm_;

@@ -1,12 +1,24 @@
 #include "minilang/interp.hpp"
 
-#include <condition_variable>
-#include <mutex>
-#include <thread>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <exception>
+#include <optional>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 #include "minilang/builtins.hpp"
 #include "minilang/printer.hpp"
+#include "support/faultpoint.hpp"
 
 namespace lisa::minilang {
 
@@ -52,22 +64,68 @@ std::string monitor_key_of(const Value& v) {
   return "val:" + v.to_display();
 }
 
+/// Fiber stacks: 8 MiB, the size of the default pthread stack they replace,
+/// mapped MAP_NORESERVE so that only touched pages cost memory, above a
+/// PROT_NONE guard of 64 KiB, a multiple of every Linux page size.
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+constexpr std::size_t kGuardBytes = std::size_t{64} << 10;
+
+/// Most spawned threads alive at once in one scheduled run. Like the call
+/// depth limit it bounds what an untrusted program can make the gate
+/// allocate: every live thread holds a stack.
+constexpr std::size_t kMaxLiveThreads = 64;
+
+/// Stacks of exited fibers, kept per OS thread so that repeated schedules
+/// map nothing. Never more than kMaxLiveThreads: a run holds at most that
+/// many at once.
+struct StackPool {
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  std::vector<char*> free;
+  ~StackPool() {
+    for (char* stack : free) munmap(stack - kGuardBytes, kGuardBytes + kStackBytes);
+  }
+};
+thread_local StackPool t_stacks;
+
+/// The lowest usable address of a stack, or nullptr when mapping failed.
+char* acquire_stack() {
+  if (!t_stacks.free.empty()) {
+    char* stack = t_stacks.free.back();
+    t_stacks.free.pop_back();
+    return stack;
+  }
+  void* base = mmap(nullptr, kGuardBytes + kStackBytes, PROT_NONE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (base == MAP_FAILED) return nullptr;
+  char* stack = static_cast<char*>(base) + kGuardBytes;
+  if (mprotect(stack, kStackBytes, PROT_READ | PROT_WRITE) == 0) return stack;
+  munmap(base, kGuardBytes + kStackBytes);
+  return nullptr;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Cooperative scheduler
 // ---------------------------------------------------------------------------
 //
-// One OS thread per spawned MiniLang thread, but a single execution token:
-// exactly one thread runs interpreter code at any instant, and the token
-// moves only through `mu_`/`cv_` (which gives every handoff a happens-before
-// edge, so the interpreter needs no further synchronization and runs are
-// TSan-clean). Teardown is sequential for the same reason: an aborting
-// schedule passes the token through each remaining thread in turn so that no
-// two threads ever unwind interpreter frames concurrently.
+// Every spawned MiniLang thread is a stackful fiber (ucontext) on the OS
+// thread that called run_scheduled_test; thread 0, the test body, runs on
+// that thread's own stack. Exactly one fiber runs at any instant and control
+// moves only by a direct swapcontext at a yield point, so the interpreter
+// needs no synchronization and a decision sequence fixes the whole run.
+// Teardown is sequential: an aborting schedule switches through every
+// remaining thread in id order so that each unwinds its frames, then
+// returns to thread 0.
+//
+// No fiber switches while inside a C++ catch handler: the runtime keeps its
+// caught-exception stack per OS thread, so two fibers interleaving their
+// handlers would end each other's exceptions.
 class Interp::Scheduler final : public SchedulerHooks {
  public:
-  enum class TState { kRunnable, kBlockedMonitor, kWaiting, kNotified, kJoining, kFinished };
+  enum class TState { kRunnable, kBlockedMonitor, kWaiting, kNotified, kJoining };
 
   struct TRec {
     int id = 0;
@@ -75,20 +133,27 @@ class Interp::Scheduler final : public SchedulerHooks {
     ScheduleOp pending;       // the operation this thread performs when scheduled
     std::string blocked_on;   // monitor key for kBlockedMonitor/kWaiting/kNotified
     int wait_depth = 0;       // reentry depth to restore when a wait() resumes
-    std::thread os_thread;    // empty for the main/test thread
     Interp::ThreadCtx ctx;
+    Scheduler* owner = nullptr;
+    const FuncDecl* root = nullptr;  // spawned thread root and its arguments
+    std::vector<Value> args;
+    char* stack = nullptr;    // fiber stack; null for thread 0 (the caller's stack)
+    ucontext_t uc{};          // registers while switched out
+    const void* stack_bottom = nullptr;  // bounds for ASan; thread 0 learns its own
+    std::size_t stack_size = kStackBytes;
+    void* tsan_fiber = nullptr;
   };
 
   Scheduler(Interp& interp, ScheduleController& controller)
-      : interp_(interp), controller_(controller) {
+      : interp_(interp), controller_(controller), saved_ctx_(interp.ctx_) {
     auto main_rec = std::make_unique<TRec>();
-    main_rec->id = 0;
-    main_rec->ctx.id = 0;
     main_rec->pending = {ScheduleOp::Kind::kStart, ""};
+#if defined(__SANITIZE_THREAD__)
+    main_rec->tsan_fiber = __tsan_get_current_fiber();
+#endif
+    live_.push_back(main_rec.get());
     threads_.push_back(std::move(main_rec));
-    saved_ctx_ = interp_.ctx_;
     interp_.ctx_ = &threads_[0]->ctx;
-    active_ = 0;
   }
 
   ~Scheduler() override {
@@ -96,38 +161,50 @@ class Interp::Scheduler final : public SchedulerHooks {
     interp_.ctx_ = saved_ctx_;
   }
 
-  // --- yield points (called by the token-holding thread) -------------------
+  // --- yield points (called by the running thread) --------------------------
 
   void yield(ScheduleOp op) {
-    std::unique_lock<std::mutex> lk(mu_);
-    TRec& self = current_locked();
+    TRec& self = current();
     self.pending = std::move(op);
-    reschedule(lk, self);
+    reschedule(self);
   }
 
   void spawn(const FuncDecl& fn, std::vector<Value> args) {
-    std::unique_lock<std::mutex> lk(mu_);
-    TRec& self = current_locked();
+    TRec& self = current();
+    if (live_.size() > kMaxLiveThreads)  // live_ also holds thread 0
+      throw InterpError("thread limit exceeded: spawn " + fn.name + " with " +
+                        std::to_string(kMaxLiveThreads) + " spawned threads alive");
     auto rec = std::make_unique<TRec>();
-    rec->id = static_cast<int>(threads_.size());
-    rec->ctx.id = rec->id;
+    if (support::faultpoint("interp.thread_stack") == support::FaultAction::kNone)
+      rec->stack = acquire_stack();
+    if (rec->stack == nullptr) throw InterpError("cannot map a stack to spawn " + fn.name);
+    rec->id = rec->ctx.id = static_cast<int>(threads_.size());
     rec->pending = {ScheduleOp::Kind::kStart, fn.name};
-    TRec* raw = rec.get();
+    rec->owner = this;
+    rec->root = &fn;
+    rec->args = std::move(args);
+    rec->stack_bottom = rec->stack;
+    getcontext(&rec->uc);
+    rec->uc.uc_stack.ss_sp = rec->stack;
+    rec->uc.uc_stack.ss_size = kStackBytes;
+    const auto bits = reinterpret_cast<std::uintptr_t>(rec.get());
+    makecontext(&rec->uc, reinterpret_cast<void (*)()>(&fiber_entry), 2,
+                static_cast<unsigned>(bits >> 32), static_cast<unsigned>(bits));
+#if defined(__SANITIZE_THREAD__)
+    rec->tsan_fiber = __tsan_create_fiber(0);
+#endif
+    live_.push_back(rec.get());
     threads_.push_back(std::move(rec));
     ++result_.threads_spawned;
-    raw->os_thread = std::thread([this, raw, &fn, moved_args = std::move(args)]() mutable {
-      thread_main(*raw, fn, std::move(moved_args));
-    });
     self.pending = {ScheduleOp::Kind::kSpawn, fn.name};
-    reschedule(lk, self);
+    reschedule(self);
   }
 
   void sync_enter(const std::string& key) {
-    std::unique_lock<std::mutex> lk(mu_);
-    TRec& self = current_locked();
+    TRec& self = current();
     self.pending = {ScheduleOp::Kind::kSyncEnter, "m:" + key};
     for (;;) {
-      reschedule(lk, self);  // preemption point before acquisition
+      reschedule(self);  // preemption point before acquisition
       const auto it = monitors_.find(key);
       if (it == monitors_.end()) {
         monitors_[key] = {self.id, 1};
@@ -145,28 +222,25 @@ class Interp::Scheduler final : public SchedulerHooks {
   }
 
   void sync_exit(const std::string& key) {
-    std::unique_lock<std::mutex> lk(mu_);
-    TRec& self = current_locked();
+    TRec& self = current();
     const auto it = monitors_.find(key);
-    if (it != monitors_.end() && it->second.first == self.id) {
-      if (--it->second.second == 0) monitors_.erase(it);
-    }
+    if (it != monitors_.end() && it->second.first == self.id && --it->second.second == 0)
+      monitors_.erase(it);
     self.pending = {ScheduleOp::Kind::kSyncExit, "m:" + key};
-    reschedule(lk, self);
+    reschedule(self);
   }
 
   // --- builtin-reachable operations (SchedulerHooks) -----------------------
 
   void wait_on(const Value& monitor) override {
     const std::string key = monitor_key_of(monitor);
-    std::unique_lock<std::mutex> lk(mu_);
-    TRec& self = current_locked();
+    TRec& self = current();
     // First a *runnable* yield before joining the waitset: this is the
     // check-to-wait window. A notify scheduled into it finds no waiter and
     // is lost — the missed-notify failure mode; without this gap the
-    // preceding guard read and the wait would be atomic under the token.
+    // preceding guard read and the wait would be one uninterrupted step.
     self.pending = {ScheduleOp::Kind::kWait, "m:" + key};
-    reschedule(lk, self);
+    reschedule(self);
     // Release the monitor fully if held, remembering the depth to restore on
     // wakeup. Waiting *without* holding the monitor is deliberately allowed:
     // that unguarded check-then-wait is exactly the missed-notify bug shape
@@ -180,7 +254,7 @@ class Interp::Scheduler final : public SchedulerHooks {
     self.state = TState::kWaiting;
     self.blocked_on = key;
     self.pending = {ScheduleOp::Kind::kWait, "m:" + key};
-    reschedule(lk, self);
+    reschedule(self);
     // Resumed: a notify moved us to kNotified and the runnable test held the
     // monitor free, so reacquisition at the remembered depth cannot fail.
     if (self.wait_depth > 0) monitors_[key] = {self.id, self.wait_depth};
@@ -191,59 +265,48 @@ class Interp::Scheduler final : public SchedulerHooks {
 
   void notify(const Value& monitor, bool all) override {
     const std::string key = monitor_key_of(monitor);
-    std::unique_lock<std::mutex> lk(mu_);
-    TRec& self = current_locked();
+    TRec& self = current();
     // Wake waiters in thread-id order (deterministic FIFO). A notify with no
     // waiter is lost — the missed-notify failure mode, not an error.
-    for (const auto& rec : threads_) {
+    for (TRec* rec : live_) {
       if (rec->state == TState::kWaiting && rec->blocked_on == key) {
         rec->state = TState::kNotified;
         if (!all) break;
       }
     }
     self.pending = {ScheduleOp::Kind::kNotify, "m:" + key};
-    reschedule(lk, self);
+    reschedule(self);
   }
 
   void join_all() override {
-    std::unique_lock<std::mutex> lk(mu_);
-    TRec& self = current_locked();
+    TRec& self = current();
     self.pending = {ScheduleOp::Kind::kJoin, ""};
     while (unfinished_other_count(self.id) > 0) {
       self.state = TState::kJoining;
-      reschedule(lk, self);
+      reschedule(self);
       self.state = TState::kRunnable;
     }
   }
 
-  /// Implicit join when the test body returns: threads still running are
-  /// drained to completion before the run is judged.
-  void drain() { join_all(); }
-
-  /// Joins every OS thread (aborting stragglers) and merges the outcome.
-  /// Must be called off the token-passing paths, i.e. by run_scheduled_test
-  /// after the main thread has unwound.
-  void finalize(ScheduleRunResult& out) {
+  /// Tears down stragglers and returns the outcome. Called on thread 0 by
+  /// run_scheduled_test after the test body has unwound.
+  ScheduleRunResult finalize() {
     finalize_teardown();
-    out.threads_spawned = result_.threads_spawned;
-    out.decisions = result_.decisions;
-    out.hung = result_.hung;
-    out.degraded = out.degraded || result_.degraded;
-    out.pruned = result_.pruned;
-    if (out.error.empty()) out.error = result_.error;
+    return result_;
   }
 
  private:
-  TRec& current_locked() { return *threads_[static_cast<std::size_t>(active_)]; }
+  TRec& current() { return *threads_[static_cast<std::size_t>(active_)]; }
 
+  /// Unfinished threads other than `self_id`.
   [[nodiscard]] int unfinished_other_count(int self_id) const {
     int count = 0;
-    for (const auto& rec : threads_)
-      if (rec->id != self_id && rec->state != TState::kFinished) ++count;
+    for (const TRec* rec : live_)
+      if (rec->id != self_id) ++count;
     return count;
   }
 
-  [[nodiscard]] bool runnable_locked(const TRec& t) const {
+  [[nodiscard]] bool runnable(const TRec& t) const {
     switch (t.state) {
       case TState::kRunnable:
         return true;
@@ -258,22 +321,9 @@ class Interp::Scheduler final : public SchedulerHooks {
       case TState::kJoining:
         return unfinished_other_count(t.id) == 0;
       case TState::kWaiting:
-      case TState::kFinished:
         return false;
     }
     return false;
-  }
-
-  [[nodiscard]] std::vector<ThreadStatus> collect_runnable() const {
-    std::vector<ThreadStatus> runnable;  // threads_ is in id order already
-    for (const auto& rec : threads_)
-      if (runnable_locked(*rec)) runnable.push_back({rec->id, rec->pending});
-    return runnable;
-  }
-
-  void activate(int id) {
-    active_ = id;
-    interp_.ctx_ = &threads_[static_cast<std::size_t>(id)]->ctx;
   }
 
   static const char* state_name(TState state) {
@@ -283,7 +333,6 @@ class Interp::Scheduler final : public SchedulerHooks {
       case TState::kWaiting: return "waiting";
       case TState::kNotified: return "notified";
       case TState::kJoining: return "joining";
-      case TState::kFinished: return "finished";
     }
     return "?";
   }
@@ -291,184 +340,168 @@ class Interp::Scheduler final : public SchedulerHooks {
   void record_hang() {
     result_.hung = true;
     std::string detail = "schedule hang: no runnable thread;";
-    for (const auto& rec : threads_) {
-      if (rec->state == TState::kFinished) continue;
+    for (const TRec* rec : live_) {
       detail += " t" + std::to_string(rec->id) + " " + state_name(rec->state);
       if (!rec->blocked_on.empty()) detail += " on " + rec->blocked_on;
     }
     if (result_.error.empty()) result_.error = detail;
   }
 
-  /// Hands the token to the lowest-id unfinished thread other than
-  /// `self_id`, so aborting threads unwind one at a time.
-  void abort_next(int self_id) {
-    for (const auto& rec : threads_) {
-      if (rec->id != self_id && rec->state != TState::kFinished) {
-        activate(rec->id);
-        cv_.notify_all();
-        return;
-      }
-    }
+  /// The thread to unwind next in a teardown: the lowest-id unfinished
+  /// thread other than `self_id`, or thread 0 (the caller's native context)
+  /// when nobody is left.
+  [[nodiscard]] int abort_next(int self_id) const {
+    for (const TRec* rec : live_)
+      if (rec->id != self_id) return rec->id;
+    return 0;
   }
 
-  /// Core handoff: choose the next thread (consulting the controller only
-  /// when the choice is real), activate it, and block until the token comes
-  /// back. Throws ScheduleAborted when the schedule is being torn down.
-  void reschedule(std::unique_lock<std::mutex>& lk, TRec& self) {
-    if (aborting_) throw ScheduleAborted{};
-    const std::vector<ThreadStatus> runnable = collect_runnable();
-    if (runnable.empty()) {
+  /// Picks the thread that runs after `self_id` yields or exits, consulting
+  /// the controller only when the choice is real. A hang or a pruned run
+  /// starts the teardown and returns the first thread to unwind.
+  int choose_next(int self_id) {
+    std::vector<ThreadStatus> runnable_now;  // live_ is in id order already
+    for (const TRec* rec : live_)
+      if (runnable(*rec)) runnable_now.push_back({rec->id, rec->pending});
+    if (runnable_now.empty()) {
       // Deadlock or missed notify: unfinished threads, none can proceed.
-      record_hang();
-      aborting_ = true;
-      abort_next(self.id);
-    } else {
-      int next = runnable.front().thread_id;
-      if (runnable.size() > 1) {
-        ++result_.decisions;
-        const int picked = controller_.pick(runnable);
-        if (picked == ScheduleController::kPruneRun) {
-          // The controller proved this interleaving redundant: tear the
-          // schedule down with no verdict (sequential, like a hang abort).
-          result_.pruned = true;
-          aborting_ = true;
-          abort_next(self.id);
-          cv_.wait(lk, [&] { return active_ == self.id; });
-          throw ScheduleAborted{};
-        }
-        for (const ThreadStatus& status : runnable)
-          if (status.thread_id == picked) next = picked;
-      }
-      grant(runnable, next);
-      activate(next);
-      if (next == self.id) return;
-      cv_.notify_all();
-    }
-    cv_.wait(lk, [&] { return active_ == self.id; });
-    if (aborting_) throw ScheduleAborted{};
-  }
-
-  /// Reports the grant (thread + pending op) to the controller — every
-  /// grant, even forced single-runnable ones, so sleep-set wake rules see
-  /// the complete op stream.
-  void grant(const std::vector<ThreadStatus>& runnable, int next) {
-    for (const ThreadStatus& status : runnable)
-      if (status.thread_id == next) {
-        controller_.observe(status);
-        return;
-      }
-  }
-
-  /// Body of a spawned OS thread: wait for the first activation, run the
-  /// MiniLang thread root, then hand the token onward.
-  void thread_main(TRec& self, const FuncDecl& fn, std::vector<Value> args) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return active_ == self.id; });
-      if (aborting_) {
-        self.state = TState::kFinished;
-        abort_next(self.id);
-        return;
-      }
-    }
-    bool failed = false;
-    bool degraded = false;
-    std::string error;
-    try {
-      interp_.call_function(fn, std::move(args));
-    } catch (const ScheduleAborted&) {
-      std::unique_lock<std::mutex> lk(mu_);
-      self.state = TState::kFinished;
-      abort_next(self.id);
-      return;
-    } catch (const MiniThrow& thrown) {
-      failed = true;
-      error = "thread t" + std::to_string(self.id) + ": " + thrown.value().to_display();
-    } catch (const StepLimitExceeded& limit) {
-      failed = true;
-      degraded = true;
-      error = limit.what();
-    } catch (const InterpError& engine_error) {
-      failed = true;
-      error = "thread t" + std::to_string(self.id) + ": " + engine_error.what();
-    }
-    std::unique_lock<std::mutex> lk(mu_);
-    self.state = TState::kFinished;
-    self.pending = {};
-    if (degraded) result_.degraded = true;
-    if (failed) {
-      // A failing thread decides the schedule: record it and stop scheduling
-      // (sequential teardown keeps the remaining unwinds single-threaded).
-      if (result_.error.empty()) result_.error = error;
-      result_.failed = true;
-      aborting_ = true;
-    }
-    if (aborting_) {
-      abort_next(self.id);
-      return;
-    }
-    const std::vector<ThreadStatus> runnable = collect_runnable();
-    if (runnable.empty()) {
-      if (unfinished_other_count(self.id) > 0) {
+      if (!live_.empty()) {
         record_hang();
         aborting_ = true;
-        abort_next(self.id);
       }
-      return;
+      return abort_next(self_id);
     }
-    int next = runnable.front().thread_id;
-    if (runnable.size() > 1) {
+    int next = runnable_now.front().thread_id;
+    if (runnable_now.size() > 1) {
       ++result_.decisions;
-      const int picked = controller_.pick(runnable);
+      const int picked = controller_.pick(runnable_now);
       if (picked == ScheduleController::kPruneRun) {
+        // The controller proved this interleaving redundant: tear the
+        // schedule down with no verdict (sequential, like a hang abort).
         result_.pruned = true;
         aborting_ = true;
-        abort_next(self.id);
-        return;
+        return abort_next(self_id);
       }
-      for (const ThreadStatus& status : runnable)
+      for (const ThreadStatus& status : runnable_now)
         if (status.thread_id == picked) next = picked;
     }
-    grant(runnable, next);
-    activate(next);
-    cv_.notify_all();
+    // Every grant is observed, even a forced single-runnable one, so
+    // sleep-set wake rules see the complete op stream.
+    for (const ThreadStatus& status : runnable_now)
+      if (status.thread_id == next) controller_.observe(status);
+    return next;
   }
 
-  /// Tears down any still-running threads (the exception paths) and joins
-  /// every OS thread. Idempotent; called by finalize() and the destructor.
-  void finalize_teardown() {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      threads_[0]->state = TState::kFinished;  // the main thread has unwound
-      if (unfinished_other_count(0) > 0) {
-        aborting_ = true;
-        abort_next(0);
-      }
-    }
-    for (const auto& rec : threads_)
-      if (rec->os_thread.joinable()) rec->os_thread.join();
+  /// Core handoff: choose the next thread and switch to it; returns when
+  /// some thread switches back to `self`. Throws ScheduleAborted when the
+  /// schedule is being torn down.
+  void reschedule(TRec& self) {
+    if (aborting_) throw ScheduleAborted{};
+    const int next = choose_next(self.id);
+    if (next != self.id) transfer(self, next, /*exiting=*/false);
+    if (aborting_) throw ScheduleAborted{};
   }
 
-  struct Result {
-    int threads_spawned = 0;
-    int decisions = 0;
-    bool hung = false;
-    bool degraded = false;
-    bool pruned = false;
+  /// Suspends `from` and resumes thread `to`. An exiting fiber is never
+  /// resumed; its stack returns to the pool once `to` runs.
+  void transfer(TRec& from, int to, bool exiting) {
+    active_ = to;
+    TRec& target = *threads_[static_cast<std::size_t>(to)];
+    interp_.ctx_ = &target.ctx;
+    ++result_.switches;
+    switched_from_ = &from;
+    from_exited_ = exiting;
+    void* fake_stack = nullptr;
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_start_switch_fiber(exiting ? nullptr : &fake_stack, target.stack_bottom,
+                                   target.stack_size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(target.tsan_fiber, 0);
+#endif
+    swapcontext(&from.uc, &target.uc);
+    arrived(fake_stack);
+  }
+
+  /// First step after every switch: completes the sanitizer handshake and
+  /// recycles the stack of a fiber that has just exited.
+  void arrived([[maybe_unused]] void* fake_stack) {
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(fake_stack, &switched_from_->stack_bottom,
+                                    &switched_from_->stack_size);
+#endif
+    if (!from_exited_) return;
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(switched_from_->tsan_fiber);
+#endif
+    t_stacks.free.push_back(switched_from_->stack);
+    threads_[static_cast<std::size_t>(switched_from_->id)].reset();
+    from_exited_ = false;
+  }
+
+  /// Entry of every spawned fiber; makecontext passes the TRec pointer as
+  /// two 32-bit halves. Ends in a switch away that never returns.
+  static void fiber_entry(unsigned high, unsigned low) {
+    auto* self = reinterpret_cast<TRec*>(std::uintptr_t{high} << 32 | low);
+    Scheduler& sched = *self->owner;
+    sched.arrived(nullptr);
+    sched.transfer(*self, sched.thread_main(*self), /*exiting=*/true);
+  }
+
+  /// Runs a spawned thread's root and returns the thread to switch to next.
+  /// The outcome is settled after the catch handlers have exited.
+  int thread_main(TRec& self) {
     bool failed = false;
     std::string error;
-  };
+    if (!aborting_) {  // a thread first entered by a teardown never runs
+      try {
+        interp_.call_function(*self.root, std::move(self.args));
+      } catch (const ScheduleAborted&) {
+        // Torn down mid-run; the teardown continues below.
+      } catch (const MiniThrow& thrown) {
+        failed = true;
+        error = "thread t" + std::to_string(self.id) + ": " + thrown.value().to_display();
+      } catch (const StepLimitExceeded& limit) {
+        failed = true;
+        result_.degraded = true;
+        error = limit.what();
+      } catch (const InterpError& engine_error) {
+        failed = true;
+        error = "thread t" + std::to_string(self.id) + ": " + engine_error.what();
+      }
+    }
+    std::erase(live_, &self);
+    if (failed) {
+      // A failing thread decides the schedule: record it and stop scheduling
+      // (sequential teardown unwinds the remaining threads one at a time).
+      if (result_.error.empty()) result_.error = error;
+      aborting_ = true;
+    }
+    return aborting_ ? abort_next(self.id) : choose_next(self.id);
+  }
+
+  /// Tears down any still-running threads (the exception paths) by
+  /// switching through them from thread 0. Idempotent; called by finalize()
+  /// and the destructor.
+  void finalize_teardown() {
+    TRec& main = *threads_[0];
+    std::erase(live_, &main);  // the main thread has unwound
+    if (live_.empty()) return;
+    aborting_ = true;
+    transfer(main, abort_next(0), /*exiting=*/false);
+  }
 
   Interp& interp_;
   ScheduleController& controller_;
   Interp::ThreadCtx* saved_ctx_ = nullptr;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::unique_ptr<TRec>> threads_;  // index == thread id
+  std::vector<std::unique_ptr<TRec>> threads_;  // index == thread id; null once exited
+  std::vector<TRec*> live_;  // unfinished threads in id order: all that is scanned
   std::unordered_map<std::string, std::pair<int, int>> monitors_;  // key -> (owner, depth)
   int active_ = 0;
   bool aborting_ = false;
-  Result result_;
+  TRec* switched_from_ = nullptr;  // the fiber that made the latest switch,
+  bool from_exited_ = false;       // and whether it has exited
+  ScheduleRunResult result_;
 };
 
 Interp::Interp(const Program& program) : program_(program) {}
@@ -633,58 +666,60 @@ Interp::Flow Interp::exec_stmt(const Stmt& stmt, Frame& frame, Value& return_val
       }
       return Flow::kNormal;
     }
-    case Stmt::Kind::kSync: {
-      const Value monitor = eval(*stmt.expr, frame);
-      if (sched_ != nullptr) {
-        const std::string key = monitor_key_of(monitor);
-        sched_->sync_enter(key);
-        ++ctx_->sync_depth;
-        Flow flow;
-        try {
-          flow = exec_block(stmt.body, frame, return_value);
-        } catch (...) {
-          --ctx_->sync_depth;
-          sched_->sync_exit(key);
-          throw;
-        }
-        --ctx_->sync_depth;
-        sched_->sync_exit(key);
-        return flow;
-      }
-      ++ctx_->sync_depth;
-      Flow flow;
-      try {
-        flow = exec_block(stmt.body, frame, return_value);
-      } catch (...) {
-        --ctx_->sync_depth;
-        throw;
-      }
-      --ctx_->sync_depth;
-      return flow;
-    }
+    case Stmt::Kind::kSync:
+      return exec_sync(stmt, frame, return_value);
     case Stmt::Kind::kBlock:
       return exec_block(stmt.body, frame, return_value);
-    case Stmt::Kind::kTry: {
-      try {
-        return exec_block(stmt.body, frame, return_value);
-      } catch (const MiniThrow& thrown) {
-        frame.scopes.emplace_back();
-        frame.scopes.back()[stmt.catch_var] = thrown.value();
-        Flow flow = Flow::kNormal;
-        for (const StmtPtr& handler_stmt : stmt.else_body) {
-          flow = exec_stmt(*handler_stmt, frame, return_value);
-          if (flow != Flow::kNormal) break;
-        }
-        frame.scopes.pop_back();
-        return flow;
-      }
-    }
+    case Stmt::Kind::kTry:
+      return exec_try(stmt, frame, return_value);
     case Stmt::Kind::kBreak:
       return Flow::kBreak;
     case Stmt::Kind::kContinue:
       return Flow::kContinue;
   }
   return Flow::kNormal;
+}
+
+// exec_sync and exec_try stay out of exec_stmt: their locals would enlarge
+// the frame that every statement pays for.
+Interp::Flow Interp::exec_sync(const Stmt& stmt, Frame& frame, Value& return_value) {
+  const Value monitor = eval(*stmt.expr, frame);
+  const std::string key = sched_ != nullptr ? monitor_key_of(monitor) : std::string();
+  if (sched_ != nullptr) sched_->sync_enter(key);
+  ++ctx_->sync_depth;
+  Flow flow = Flow::kNormal;
+  // An escaping exception is rethrown only after the monitor is
+  // released: sync_exit may switch fibers, never inside a catch handler.
+  std::exception_ptr escaped;
+  try {
+    flow = exec_block(stmt.body, frame, return_value);
+  } catch (...) {
+    escaped = std::current_exception();
+  }
+  --ctx_->sync_depth;
+  if (sched_ != nullptr) sched_->sync_exit(key);
+  if (escaped) std::rethrow_exception(escaped);
+  return flow;
+}
+
+Interp::Flow Interp::exec_try(const Stmt& stmt, Frame& frame, Value& return_value) {
+  // The handler runs after the C++ catch handler has exited, because it
+  // may yield and no fiber may switch inside a handler.
+  std::optional<Value> caught;
+  try {
+    return exec_block(stmt.body, frame, return_value);
+  } catch (const MiniThrow& thrown) {
+    caught = thrown.value();
+  }
+  frame.scopes.emplace_back();
+  frame.scopes.back()[stmt.catch_var] = std::move(*caught);
+  Flow flow = Flow::kNormal;
+  for (const StmtPtr& handler_stmt : stmt.else_body) {
+    flow = exec_stmt(*handler_stmt, frame, return_value);
+    if (flow != Flow::kNormal) break;
+  }
+  frame.scopes.pop_back();
+  return flow;
 }
 
 Value* Interp::lookup(Frame& frame, const std::string& name) {
@@ -955,7 +990,7 @@ ScheduleRunResult Interp::run_scheduled_test(const std::string& test_name,
   std::string main_error;
   try {
     call_function(*fn, {});
-    scheduler.drain();  // implicit join: finish threads still running
+    scheduler.join_all();  // implicit join: finish threads still running
     main_ok = true;
   } catch (const ScheduleAborted&) {
     // Hang or spawned-thread failure; the scheduler recorded the cause.
@@ -963,18 +998,17 @@ ScheduleRunResult Interp::run_scheduled_test(const std::string& test_name,
     main_error = thrown.value().to_display();
   } catch (const StepLimitExceeded& limit) {
     step_limit_hit_ = true;
-    out.degraded = true;
     main_error = limit.what();
   } catch (const InterpError& error) {
     main_error = error.what();
   }
-  // Finalize (which joins every spawned thread, unwinding stragglers) must
-  // run before sched_ is cleared: threads parked inside sync bodies call
-  // sched_->sync_exit while unwinding ScheduleAborted.
-  scheduler.finalize(out);
+  // Finalize (which switches through every unfinished thread, unwinding
+  // stragglers) must run before sched_ is cleared: threads parked inside
+  // sync bodies call sched_->sync_exit while unwinding ScheduleAborted.
+  out = scheduler.finalize();
   sched_ = nullptr;
   if (!main_error.empty()) out.error = main_error;
-  if (out.degraded) step_limit_hit_ = true;
+  step_limit_hit_ = out.degraded = out.degraded || step_limit_hit_;
   out.test_passed = main_ok && out.error.empty() && !out.hung && !out.degraded;
   last_error_ = out.error;
   return out;

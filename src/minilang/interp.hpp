@@ -8,13 +8,13 @@
 // Thread scheduling: `spawn f(args);` statements create cooperative thread
 // roots. Outside a scheduled run the spawned call executes inline to
 // completion at the spawn point (serial semantics — single-schedule replay
-// by construction). Inside run_scheduled_test() every spawn becomes a real
-// thread handing a single execution token around: the interpreter yields at
+// by construction). Inside run_scheduled_test() every spawn becomes a fiber
+// with its own stack on the calling OS thread: the interpreter yields at
 // scheduling points (spawn, sync enter/exit, blocking builtins, shared
 // field access, wait/notify/join), and a ScheduleController decides which
-// runnable thread proceeds. Exactly one thread executes at any moment, so
-// interpreter state needs no locking and runs are fully deterministic for a
-// fixed decision sequence.
+// runnable thread proceeds. Exactly one fiber executes at any moment and no
+// OS thread is created, so interpreter state needs no locking and runs are
+// fully deterministic for a fixed decision sequence.
 #pragma once
 
 #include <cstdint>
@@ -180,6 +180,8 @@ struct ScheduleRunResult {
   int threads_spawned = 0;
   /// pick() calls made — yield points where the schedule actually chose.
   int decisions = 0;
+  /// Fiber switches made, teardown included.
+  int switches = 0;
   std::string error;  // first failure: assert text, hang detail, engine error
 };
 
@@ -211,7 +213,7 @@ class Interp {
   std::pair<int, int> run_all_tests();
 
   /// Runs one @test function under the cooperative scheduler: every spawn
-  /// becomes a thread and `controller` decides the interleaving. Threads
+  /// becomes a fiber thread and `controller` decides the interleaving. Threads
   /// still running when the test body returns are drained to completion
   /// (an implicit join); a state where no thread can proceed is reported
   /// as hung, not as a crash.
@@ -257,7 +259,7 @@ class Interp {
 
   /// Per-thread interpreter state. Serial runs use main_ctx_ only; during
   /// scheduled runs the scheduler swaps ctx_ to the active thread's record
-  /// at every token handoff, so monitor depth, call depth, and the current
+  /// at every fiber switch, so monitor depth, call depth, and the current
   /// function are tracked per thread (two runnable threads must not share a
   /// sync depth — the blocking-in-sync detector would misfire).
   struct ThreadCtx {
@@ -267,12 +269,14 @@ class Interp {
     const FuncDecl* current_fn = nullptr;  // function whose body is executing
   };
 
-  class Scheduler;  // cooperative token-passing scheduler (interp.cpp)
+  class Scheduler;  // cooperative fiber scheduler (interp.cpp)
   friend class Scheduler;
 
   Value call_function(const FuncDecl& fn, std::vector<Value> args);
   Flow exec_block(const std::vector<StmtPtr>& stmts, Frame& frame, Value& return_value);
   Flow exec_stmt(const Stmt& stmt, Frame& frame, Value& return_value);
+  Flow exec_sync(const Stmt& stmt, Frame& frame, Value& return_value);
+  Flow exec_try(const Stmt& stmt, Frame& frame, Value& return_value);
   Value eval(const Expr& expr, Frame& frame);
   Value eval_binary(const Expr& expr, Frame& frame);
   Value call_builtin(const std::string& name, const Expr& expr, Frame& frame);

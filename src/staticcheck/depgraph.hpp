@@ -57,10 +57,6 @@ class PostDomTree {
  public:
   [[nodiscard]] static PostDomTree build(const Cfg& cfg);
 
-  /// Immediate post-dominator of `node`, or -1 (the exit node, and nodes
-  /// with no strict post-dominator).
-  [[nodiscard]] int ipdom(int node) const { return ipdom_[static_cast<std::size_t>(node)]; }
-
   /// True iff `b` post-dominates `a` (reflexive: postdominates(a, a)).
   [[nodiscard]] bool postdominates(int b, int a) const {
     return pdom_[static_cast<std::size_t>(a)].count(b) > 0;
@@ -75,7 +71,7 @@ class PostDomTree {
 
  private:
   std::vector<std::set<int>> pdom_;  // full post-dominator set per node
-  std::vector<int> ipdom_;
+  std::vector<int> ipdom_;  // immediate post-dominator per node, or -1
   std::vector<std::vector<int>> cdeps_;
 };
 

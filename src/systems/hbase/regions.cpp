@@ -18,11 +18,6 @@ void RegionServer::start_compaction(const std::string& name, std::int64_t durati
   });
 }
 
-bool RegionServer::is_compacting(const std::string& name) const {
-  const auto it = regions_.find(name);
-  return it != regions_.end() && it->second.compacting;
-}
-
 bool RegionServer::split_region(const std::string& name, bool check) {
   const auto it = regions_.find(name);
   if (it == regions_.end()) return false;

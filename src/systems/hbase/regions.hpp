@@ -50,7 +50,6 @@ class RegionServer {
   void add_region(const std::string& name);
   /// Starts a major compaction lasting `duration_ms` of virtual time.
   void start_compaction(const std::string& name, std::int64_t duration_ms);
-  [[nodiscard]] bool is_compacting(const std::string& name) const;
 
   /// Client-requested split; returns true if the split executed.
   bool request_split(const std::string& name);

@@ -54,7 +54,6 @@ class SnapshotStore {
   std::pair<SnapshotStatus, std::vector<std::string>> scan(const std::string& name);
 
   [[nodiscard]] const SnapshotStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t snapshot_count() const { return snapshots_.size(); }
 
  private:
   struct Snapshot {

@@ -66,7 +66,6 @@ class ObserverNameNode {
                                          bool check_locations);
 
   [[nodiscard]] const HdfsStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t known_blocks() const { return replica_.size(); }
 
  private:
   EventLoop& loop_;

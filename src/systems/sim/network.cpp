@@ -6,13 +6,8 @@ void MessageBus::register_endpoint(const std::string& endpoint, Receiver receive
   endpoints_[endpoint] = std::move(receiver);
 }
 
-void MessageBus::unregister_endpoint(const std::string& endpoint) {
-  endpoints_.erase(endpoint);
-}
-
 bool MessageBus::send(const std::string& from, const std::string& to, const std::string& type,
                       const std::string& payload) {
-  ++sent_;
   if (options_.drop_rate > 0.0 && rng_.next_bool(options_.drop_rate)) {
     ++dropped_;
     return false;

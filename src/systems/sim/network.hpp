@@ -39,15 +39,11 @@ class MessageBus {
   /// Registers (or replaces) the receiver for `endpoint`.
   void register_endpoint(const std::string& endpoint, Receiver receiver);
 
-  /// Removes an endpoint; in-flight messages to it are dropped on delivery.
-  void unregister_endpoint(const std::string& endpoint);
-
   /// Queues a message. Returns false if it was dropped by loss injection
   /// (delivery to unknown endpoints is counted separately at delivery time).
   bool send(const std::string& from, const std::string& to, const std::string& type,
             const std::string& payload);
 
-  [[nodiscard]] std::uint64_t sent() const { return sent_; }
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t dead_lettered() const { return dead_lettered_; }
@@ -57,7 +53,6 @@ class MessageBus {
   NetworkOptions options_;
   support::Rng rng_;
   std::map<std::string, Receiver> endpoints_;
-  std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t dead_lettered_ = 0;

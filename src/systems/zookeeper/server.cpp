@@ -2,17 +2,6 @@
 
 namespace lisa::systems::zk {
 
-const char* zk_status_name(ZkStatus status) {
-  switch (status) {
-    case ZkStatus::kOk: return "OK";
-    case ZkStatus::kSessionExpired: return "SESSION_EXPIRED";
-    case ZkStatus::kSessionClosing: return "SESSION_CLOSING";
-    case ZkStatus::kNodeExists: return "NODE_EXISTS";
-    case ZkStatus::kNoNode: return "NO_NODE";
-  }
-  return "?";
-}
-
 ZooKeeperServer::ZooKeeperServer(EventLoop& loop, ZkConfig config)
     : loop_(loop), config_(config) {
   schedule_expiry_sweep();
@@ -69,12 +58,6 @@ void ZooKeeperServer::finish_close(std::int64_t session_id, std::vector<std::str
   }
   const auto it = sessions_.find(session_id);
   if (it != sessions_.end()) it->second.state = SessionState::kClosed;
-}
-
-std::optional<SessionState> ZooKeeperServer::session_state(std::int64_t session_id) const {
-  const auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return std::nullopt;
-  return it->second.state;
 }
 
 std::size_t ZooKeeperServer::live_sessions() const {

@@ -31,8 +31,6 @@ enum class ZkStatus {
   kNoNode,
 };
 
-[[nodiscard]] const char* zk_status_name(ZkStatus status);
-
 enum class SessionState { kConnected, kClosing, kClosed };
 
 struct ZkConfig {
@@ -77,7 +75,6 @@ class ZooKeeperServer {
   /// ephemeral nodes are collected; deletion completes close_linger_ms later.
   void close_session(std::int64_t session_id);
 
-  [[nodiscard]] std::optional<SessionState> session_state(std::int64_t session_id) const;
   [[nodiscard]] std::size_t live_sessions() const;
 
   // -- Data tree --------------------------------------------------------

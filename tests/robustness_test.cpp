@@ -8,9 +8,11 @@
 #include <fstream>
 
 #include "concolic/explorer.hpp"
+#include "concolic/schedule.hpp"
 #include "corpus/ticket.hpp"
 #include "inference/mock_llm.hpp"
 #include "lisa/ci_gate.hpp"
+#include "lisa/contract.hpp"
 #include "lisa/journal.hpp"
 #include "lisa/pipeline.hpp"
 #include "minilang/interp.hpp"
@@ -521,6 +523,118 @@ TEST_F(Robustness, GateResumeSkipsSettledContracts) {
   EXPECT_EQ(second.allowed, first.allowed);
   EXPECT_EQ(second.violations.size(), first.violations.size());
   std::remove(path.c_str());
+}
+
+/// A hostile commit to the patched hbase counter: a fuel-bounded loop
+/// spawns roots that wait forever. Each live thread holds a stack, so the
+/// scheduler must refuse the flood with a typed error, not exhaust memory.
+constexpr const char* kSpawnFloodTest = R"ml(
+fn park(c: RegionCounter) {
+  wait(c);
+}
+
+@test
+fn test_spawn_flood() {
+  let c = new_region_counter();
+  let i = 0;
+  while (i < 100000) {
+    spawn park(c);
+    i = i + 1;
+  }
+  join_all();
+}
+)ml";
+
+core::ContractStore ticket_contracts(const corpus::FailureTicket& ticket) {
+  core::ContractStore store;
+  store.add_all(
+      core::translate(inference::MockLlm().infer(ticket), ticket.system).contracts);
+  return store;
+}
+
+TEST_F(Robustness, SpawnFloodFailsTheScheduleAtTheLiveThreadLimit) {
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("hbase-counter-race");
+  ASSERT_NE(ticket, nullptr);
+  const std::string source = ticket->patched_source + kSpawnFloodTest;
+  const minilang::Program program = minilang::parse_checked(source);
+  const concolic::ScheduleExplorationResult explored =
+      concolic::ScheduleExplorer(program, {}).explore_test("test_spawn_flood");
+  ASSERT_EQ(explored.witnesses.size(), 1u);
+  const concolic::ScheduleWitness& witness = explored.witnesses.front();
+  EXPECT_EQ(witness.outcome, "exception");
+  EXPECT_NE(witness.detail.find("thread limit exceeded: spawn park with 64 spawned threads"),
+            std::string::npos)
+      << witness.detail;
+  const obs::Narration narration = concolic::narrate_schedule(program, witness);
+  EXPECT_TRUE(narration.reproduced) << narration.detail;
+
+  const core::GateDecision decision =
+      core::CiGate().evaluate(source, ticket_contracts(*ticket));
+  EXPECT_FALSE(decision.allowed);
+  bool narrated = false;
+  for (const ContractCheckReport& report : decision.reports)
+    if (report.schedule_witness.find("thread limit exceeded") != std::string::npos)
+      narrated = true;
+  EXPECT_TRUE(narrated);
+}
+
+TEST_F(Robustness, SpawnJoinLoopRecyclesFinishedThreads) {
+  // Sequentially joined threads never count against the live limit: each
+  // finished thread gives its stack back before the next spawn, and the
+  // scheduler scans only unfinished threads, so the run stays linear.
+  const minilang::Program program = minilang::parse_checked(R"ml(
+struct Counter { value: int; }
+
+fn bump(c: Counter) {
+  c.value = c.value + 1;
+}
+
+@test
+fn test_spawn_join_loop() {
+  let c = new Counter { value: 0 };
+  let i = 0;
+  while (i < 5000) {
+    spawn bump(c);
+    join_all();
+    i = i + 1;
+  }
+  assert(c.value == 5000, "every joined thread ran");
+}
+)ml");
+  minilang::Interp interp(program);
+  struct LowestFirst final : minilang::ScheduleController {
+    int pick(const std::vector<minilang::ThreadStatus>& runnable) override {
+      return runnable.front().thread_id;
+    }
+  } controller;
+  const minilang::ScheduleRunResult run =
+      interp.run_scheduled_test("test_spawn_join_loop", controller);
+  EXPECT_TRUE(run.test_passed) << run.error;
+  EXPECT_EQ(run.threads_spawned, 5000);
+  EXPECT_EQ(run.switches, 10000);  // into each thread and back out
+}
+
+TEST_F(Robustness, UnmappableThreadStackIsATypedScheduleFailure) {
+  ASSERT_TRUE(FaultRegistry::instance().configure("interp.thread_stack=fail"));
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("hbase-counter-race");
+  ASSERT_NE(ticket, nullptr);
+  const minilang::Program program = minilang::parse_checked(ticket->patched_source);
+  minilang::Interp interp(program);
+  struct LowestFirst final : minilang::ScheduleController {
+    int pick(const std::vector<minilang::ThreadStatus>& runnable) override {
+      return runnable.front().thread_id;
+    }
+  } controller;
+  const minilang::ScheduleRunResult run =
+      interp.run_scheduled_test("test_concurrent_increments_all_land", controller);
+  EXPECT_FALSE(run.test_passed);
+  EXPECT_EQ(run.error, "cannot map a stack to spawn bump_counter");
+  EXPECT_EQ(run.threads_spawned, 0);
+  EXPECT_GT(FaultRegistry::instance().triggered("interp.thread_stack"), 0);
+
+  const core::GateDecision decision =
+      core::CiGate().evaluate(ticket->patched_source, ticket_contracts(*ticket));
+  EXPECT_FALSE(decision.allowed);
 }
 
 }  // namespace

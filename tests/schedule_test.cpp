@@ -1,8 +1,10 @@
 // Schedule exploration: serial replay blindness, witness determinism,
-// budget exhaustion as typed inconclusives, chaos injection, and the gate
-// policy that an undrained schedule space blocks a commit.
+// budget exhaustion as typed inconclusives, chaos injection, the gate
+// policy that an undrained schedule space blocks a commit, and the fiber
+// scheduler's parity with the OS-thread scheduler it replaced.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -316,6 +318,244 @@ TEST(GateSchedule, ViolatingInterleavingBlocksWithLedgerRecordedWitness) {
   EXPECT_EQ(capture->schedule_witness, report.schedule_witness);
   EXPECT_EQ(capture->narration.kind, "schedule-replay");
   EXPECT_TRUE(capture->narration.reproduced);
+}
+
+/// Golden values recorded with the earlier one-OS-thread-per-MiniLang-
+/// thread scheduler. The fiber scheduler must reproduce the DFS exactly:
+/// the same schedule counts, the same witnesses, the same gate reports.
+struct ScheduleGolden {
+  std::string case_id;
+  int buggy_schedules;
+  std::string buggy_witness;
+  int patched_schedules;
+  int buggy_report_sum;    // schedules_explored summed over the gate's reports
+  int patched_report_sum;  // (full 24-contract store, as `lisa gate` runs it)
+};
+
+const std::vector<ScheduleGolden>& schedule_goldens() {
+  static const std::vector<ScheduleGolden> goldens{
+      {"zk-session-close-race", 2,
+       "test=test_concurrent_create_and_close;seed=0;decisions=0,0,1,1,1,2,2,2;"
+       "outcome=assert-failure;detail=assertion failed: no ephemeral survives a closed session",
+       32, 6, 96},
+      {"hbase-counter-race", 2,
+       "test=test_concurrent_increments_all_land;seed=0;decisions=0,0,1,1,2,2,1;"
+       "outcome=assert-failure;detail=assertion failed: no increment lost",
+       1209, 6, 3627},
+      {"cass-flush-notify", 5,
+       "test=test_concurrent_signal_wakes_waiter;seed=0;decisions=0,0,1,2,2,1,1;"
+       "outcome=hang;detail=schedule hang: no runnable thread; t0 joining t2 waiting on obj:1",
+       44, 15, 132},
+  };
+  return goldens;
+}
+
+const core::ContractStore& full_store() {
+  static const core::ContractStore store = [] {
+    core::ContractStore built;
+    for (const corpus::FailureTicket& ticket : corpus::Corpus::all())
+      built.add_all(
+          core::translate(inference::MockLlm().infer(ticket), ticket.system).contracts);
+    return built;
+  }();
+  return store;
+}
+
+int report_schedule_sum(const std::string& source) {
+  core::CheckOptions options;
+  options.run_concolic = false;  // as `lisa gate` runs it
+  int sum = 0;
+  for (const core::ContractCheckReport& report :
+       core::CiGate(options).evaluate(source, full_store()).reports)
+    sum += report.schedules_explored;
+  return sum;
+}
+
+TEST(ScheduleParity, ExplorationMatchesTheOsThreadSchedulerGoldens) {
+  for (const ScheduleGolden& golden : schedule_goldens()) {
+    const corpus::FailureTicket& ticket = ticket_or_die(golden.case_id);
+    const minilang::Program buggy = minilang::parse_checked(ticket.buggy_source);
+    const concolic::ScheduleExplorationResult found =
+        concolic::ScheduleExplorer(buggy, {}).explore();
+    EXPECT_EQ(found.schedules_explored, golden.buggy_schedules) << golden.case_id;
+    ASSERT_EQ(found.witnesses.size(), 1u) << golden.case_id;
+    EXPECT_EQ(found.witnesses.front().to_compact(), golden.buggy_witness);
+
+    const minilang::Program patched = minilang::parse_checked(ticket.patched_source);
+    const concolic::ScheduleExplorationResult drained =
+        concolic::ScheduleExplorer(patched, {}).explore();
+    EXPECT_EQ(drained.schedules_explored, golden.patched_schedules) << golden.case_id;
+    EXPECT_TRUE(drained.conclusive) << golden.case_id;
+    EXPECT_TRUE(drained.witnesses.empty()) << golden.case_id;
+
+    EXPECT_EQ(report_schedule_sum(ticket.buggy_source), golden.buggy_report_sum)
+        << golden.case_id;
+    EXPECT_EQ(report_schedule_sum(ticket.patched_source), golden.patched_report_sum)
+        << golden.case_id;
+  }
+}
+
+int os_thread_count() {
+  int count = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++count;
+  }
+  return count;
+}
+
+/// Rotates through the runnable threads and checks at every decision that
+/// the run has not created an OS thread.
+class ThreadCountingController final : public minilang::ScheduleController {
+ public:
+  explicit ThreadCountingController(int expected) : expected_(expected) {}
+  int pick(const std::vector<minilang::ThreadStatus>& runnable) override {
+    EXPECT_EQ(os_thread_count(), expected_) << "decision " << picks_;
+    ++picks_;
+    return runnable[static_cast<std::size_t>(picks_) % runnable.size()].thread_id;
+  }
+  [[nodiscard]] int picks() const { return picks_; }
+
+ private:
+  int expected_;
+  int picks_ = 0;
+};
+
+TEST(ScheduleFibers, ScheduledRunsCreateNoOsThread) {
+  const int before = os_thread_count();
+  for (const std::string& case_id : explored_case_ids()) {
+    const corpus::FailureTicket& ticket = ticket_or_die(case_id);
+    for (const std::string* source : {&ticket.buggy_source, &ticket.patched_source}) {
+      const minilang::Program program = minilang::parse_checked(*source);
+      const concolic::ScheduleExplorer explorer(program, {});
+      for (const minilang::FuncDecl* test : program.functions_with("test")) {
+        if (!explorer.test_spawns(test->name)) continue;
+        minilang::Interp interp(program);
+        ThreadCountingController controller(before);
+        const minilang::ScheduleRunResult run =
+            interp.run_scheduled_test(test->name, controller);
+        EXPECT_GT(controller.picks(), 0) << case_id << " " << test->name;
+        EXPECT_GT(run.switches, 0) << case_id << " " << test->name;
+      }
+    }
+  }
+  EXPECT_EQ(os_thread_count(), before);
+}
+
+/// Spawned threads throw inside `sync` bodies (the monitor is released on
+/// the exception path, which yields) and yield inside MiniLang catch
+/// bodies: every fiber switch on these paths happens with no C++ catch
+/// handler active.
+constexpr const char* kThrowingThreadsSource = R"ml(
+struct Ledger { applied: int; handled: int; }
+
+fn apply_then_fail(l: Ledger) {
+  try {
+    sync (l) {
+      l.applied = l.applied + 1;
+      throw "apply failed";
+    }
+  } catch (e) {
+    sync (l) {
+      let h = l.handled;
+      l.handled = h + 1;
+    }
+  }
+}
+
+fn apply_then_count(l: Ledger) {
+  try {
+    sync (l) {
+      l.applied = l.applied + 1;
+      throw "apply failed";
+    }
+  } catch (e) {
+    let h = l.handled;
+    l.handled = h + 1;
+  }
+}
+
+fn fail_inside_sync(l: Ledger) {
+  sync (l) {
+    l.applied = l.applied + 1;
+    throw "escaped sync";
+  }
+}
+
+@test
+fn test_every_failed_apply_is_handled() {
+  let l = new Ledger { applied: 0, handled: 0 };
+  spawn apply_then_fail(l);
+  spawn apply_then_fail(l);
+  join_all();
+  assert(l.applied == 2, "every sync body ran");
+  assert(l.handled == 2, "every catch body ran");
+}
+
+@test
+fn test_unsynchronized_handlers_lose_counts() {
+  let l = new Ledger { applied: 0, handled: 0 };
+  spawn apply_then_count(l);
+  spawn apply_then_count(l);
+  join_all();
+  assert(l.applied == 2, "every sync body ran");
+  assert(l.handled == 2, "no handled count lost");
+}
+
+@test
+fn test_escaping_throw_fails_the_schedule() {
+  let l = new Ledger { applied: 0, handled: 0 };
+  spawn fail_inside_sync(l);
+  sync (l) {
+    l.handled = l.handled + 1;
+  }
+  join_all();
+}
+)ml";
+
+TEST(ScheduleFibers, ThrowsInSyncBodiesAndYieldsInCatchBodiesMatchSerialReplay) {
+  const minilang::Program program = minilang::parse_checked(kThrowingThreadsSource);
+  // Serial-replay oracle: spawned roots run inline, so both tests pass.
+  minilang::Interp serial(program);
+  EXPECT_TRUE(serial.run_test("test_every_failed_apply_is_handled")) << serial.last_error();
+  EXPECT_TRUE(serial.run_test("test_unsynchronized_handlers_lose_counts"))
+      << serial.last_error();
+
+  concolic::ScheduleExplorer explorer(program, {});
+  // Every interleaving of the synchronized handlers has the serial outcome.
+  const concolic::ScheduleExplorationResult safe =
+      explorer.explore_test("test_every_failed_apply_is_handled");
+  EXPECT_TRUE(safe.conclusive) << safe.inconclusive_reason;
+  EXPECT_FALSE(safe.violation_found)
+      << (safe.witnesses.empty() ? "" : safe.witnesses.front().to_compact());
+  EXPECT_EQ(safe.schedules_explored, 712);  // as under the OS-thread scheduler
+
+  // The unsynchronized handlers lose an update under one interleaving; the
+  // witness is the one the OS-thread scheduler found and replays exactly.
+  const concolic::ScheduleExplorationResult racy =
+      explorer.explore_test("test_unsynchronized_handlers_lose_counts");
+  ASSERT_EQ(racy.witnesses.size(), 1u);
+  const concolic::ScheduleWitness& witness = racy.witnesses.front();
+  EXPECT_EQ(witness.to_compact(),
+            "test=test_unsynchronized_handlers_lose_counts;seed=0;"
+            "decisions=0,0,1,1,1,1,1,1,2,2,2,2,2,2,1;"
+            "outcome=assert-failure;detail=assertion failed: no handled count lost");
+  for (int run = 0; run < 3; ++run) {
+    const minilang::ScheduleRunResult replayed = explorer.replay(witness);
+    EXPECT_FALSE(replayed.test_passed);
+    EXPECT_EQ(replayed.error, witness.detail);
+  }
+
+  // A throw that escapes a spawned thread's sync body fails the schedule
+  // with the exception serial replay reports, tagged with the thread.
+  EXPECT_FALSE(serial.run_test("test_escaping_throw_fails_the_schedule"));
+  const concolic::ScheduleExplorationResult escaped =
+      explorer.explore_test("test_escaping_throw_fails_the_schedule");
+  ASSERT_EQ(escaped.witnesses.size(), 1u);
+  EXPECT_EQ(escaped.witnesses.front().outcome, "exception");
+  EXPECT_EQ(escaped.witnesses.front().detail, "thread t1: " + serial.last_error());
+  EXPECT_EQ(escaped.witnesses.front().to_compact(), "test=test_escaping_throw_fails_the_schedule;seed=0;decisions=0,0,0,0,0;"
+            "outcome=exception;detail=thread t1: escaped sync");
 }
 
 }  // namespace
