@@ -22,7 +22,7 @@ Json SemanticsProposal::to_json() const {
     entry["description"] = low.description;
     entry["target_statement"] = low.target_statement;
     entry["condition_statement"] = low.condition_statement;
-    lows.push_back(Json(std::move(entry)));
+    lows.emplace_back(std::move(entry));
   }
   root["low_level_semantics"] = Json(std::move(lows));
   root["reasoning"] = reasoning;

@@ -2,7 +2,7 @@
 //
 // The tree-walking interpreter (interp.hpp) is the reference semantics; the
 // VM (vm.hpp) compiles functions to a compact stack bytecode for fast test
-// replay — the CI gate runs suites on every commit, so throughput matters.
+// replay. Only the benches and the tests run it.
 // The two engines are kept observationally equivalent by differential
 // property tests over random programs.
 #pragma once

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -455,7 +456,7 @@ class Interp::Scheduler final : public SchedulerHooks {
     std::string error;
     if (!aborting_) {  // a thread first entered by a teardown never runs
       try {
-        interp_.call_function(*self.root, std::move(self.args));
+        interp_.call_function<Value>(*self.root, std::move(self.args));
       } catch (const ScheduleAborted&) {
         // Torn down mid-run; the teardown continues below.
       } catch (const MiniThrow& thrown) {
@@ -506,8 +507,132 @@ class Interp::Scheduler final : public SchedulerHooks {
 
 Interp::Interp(const Program& program) : program_(program) {}
 
+namespace {
+
+template <class Slot>
+constexpr bool kShadowed = std::is_same_v<Slot, Shadowed>;
+
+// Slot access for the two walks.
+Value& val(Value& v) { return v; }
+const Value& val(const Value& v) { return v; }
+Value& val(Shadowed& s) { return s.value; }
+const Value& val(const Shadowed& s) { return s.value; }
+Value untagged(Value v) { return v; }
+Value untagged(Shadowed s) { return std::move(s.value); }
+
+bool is_comparison(BinOp op) {
+  switch (op) {
+    case BinOp::kEq:
+    case BinOp::kNe:
+    case BinOp::kLt:
+    case BinOp::kLe:
+    case BinOp::kGt:
+    case BinOp::kGe:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Every binary operator but && and ||, on evaluated operands.
+Value binary_value(BinOp op, const Value& lhs, const Value& rhs) {
+  switch (op) {
+    case BinOp::kEq: return Value::of_bool(lhs.equals(rhs));
+    case BinOp::kNe: return Value::of_bool(!lhs.equals(rhs));
+    case BinOp::kAdd:
+      if (lhs.is_string() || rhs.is_string())
+        return Value::of_string(lhs.to_display() + rhs.to_display());
+      if (lhs.is_int() && rhs.is_int()) return Value::of_int(lhs.as_int() + rhs.as_int());
+      throw InterpError("'+' on incompatible operands");
+    case BinOp::kSub:
+    case BinOp::kMul:
+    case BinOp::kDiv:
+    case BinOp::kMod: {
+      if (!lhs.is_int() || !rhs.is_int()) throw InterpError("arithmetic on non-int");
+      const std::int64_t a = lhs.as_int();
+      const std::int64_t b = rhs.as_int();
+      switch (op) {
+        case BinOp::kSub: return Value::of_int(a - b);
+        case BinOp::kMul: return Value::of_int(a * b);
+        case BinOp::kDiv:
+          if (b == 0) throw MiniThrow(Value::of_string("ArithmeticException: divide by zero"));
+          return Value::of_int(a / b);
+        default:
+          if (b == 0) throw MiniThrow(Value::of_string("ArithmeticException: mod by zero"));
+          return Value::of_int(a % b);
+      }
+    }
+    case BinOp::kLt:
+    case BinOp::kLe:
+    case BinOp::kGt:
+    case BinOp::kGe: {
+      if (lhs.is_string() && rhs.is_string()) {
+        const int cmp = lhs.as_string().compare(rhs.as_string());
+        switch (op) {
+          case BinOp::kLt: return Value::of_bool(cmp < 0);
+          case BinOp::kLe: return Value::of_bool(cmp <= 0);
+          case BinOp::kGt: return Value::of_bool(cmp > 0);
+          default: return Value::of_bool(cmp >= 0);
+        }
+      }
+      if (!lhs.is_int() || !rhs.is_int()) throw InterpError("comparison on incompatible types");
+      const std::int64_t a = lhs.as_int();
+      const std::int64_t b = rhs.as_int();
+      switch (op) {
+        case BinOp::kLt: return Value::of_bool(a < b);
+        case BinOp::kLe: return Value::of_bool(a <= b);
+        case BinOp::kGt: return Value::of_bool(a > b);
+        default: return Value::of_bool(a >= b);
+      }
+    }
+    default:
+      throw InterpError("unreachable binary operator");
+  }
+}
+
+/// StateAccess over the executing frame's scope stack (interp.hpp).
+template <class Slot>
+class FrameStateAccess final : public StateAccess {
+ public:
+  FrameStateAccess(std::vector<std::unordered_map<std::string, Slot>>& scopes, int sync_depth)
+      : scopes_(scopes), sync_depth_(sync_depth) {}
+
+  Value* lookup(const std::string& name) override {
+    Slot* slot = find_local(scopes_, name);
+    return slot != nullptr ? &val(*slot) : nullptr;
+  }
+
+  std::vector<std::string> local_names() const override {
+    std::vector<std::string> names;
+    for (const auto& scope : scopes_)
+      for (const auto& [name, value] : scope) names.push_back(name);
+    return names;
+  }
+
+  int sync_depth() const override { return sync_depth_; }
+
+  /// The innermost slot named `name`, or nullptr.
+  static Slot* find_local(std::vector<std::unordered_map<std::string, Slot>>& scopes,
+                          const std::string& name) {
+    for (auto it = scopes.rbegin(); it != scopes.rend(); ++it) {
+      const auto found = it->find(name);
+      if (found != it->end()) return &found->second;
+    }
+    return nullptr;
+  }
+
+ private:
+  std::vector<std::unordered_map<std::string, Slot>>& scopes_;
+  int sync_depth_;
+};
+
+}  // namespace
+
+template <class Slot>
 void Interp::burn_fuel() {
   if (++fuel_used_ > fuel_limit_) throw StepLimitExceeded(fuel_limit_);
+  if constexpr (kShadowed<Slot>)
+    if (fuel_used_ % kShadowStepStride == 0) shadow_->charge_steps(kShadowStepStride);
 }
 
 bool Interp::truthy(const Value& v, const Expr& where) const {
@@ -519,10 +644,27 @@ bool Interp::truthy(const Value& v, const Expr& where) const {
 Value Interp::call(const std::string& function, std::vector<Value> args) {
   const FuncDecl* fn = program_.find_function(function);
   if (fn == nullptr) throw InterpError("unknown function: " + function);
-  return call_function(*fn, std::move(args));
+  return call_function<Value>(*fn, std::move(args));
 }
 
-Value Interp::call_function(const FuncDecl& fn, std::vector<Value> args) {
+Value Interp::call_shadowed(const std::string& function, ShadowPolicy& policy) {
+  const FuncDecl* fn = program_.find_function(function);
+  if (fn == nullptr) throw InterpError("unknown function: " + function);
+  fuel_used_ = 0;
+  next_object_id_ = 1;
+  shadow_ = &policy;
+  try {
+    Value result = call_function<Shadowed>(*fn, {});
+    shadow_ = nullptr;
+    return result;
+  } catch (...) {
+    shadow_ = nullptr;
+    throw;
+  }
+}
+
+template <class Slot>
+Value Interp::call_function(const FuncDecl& fn, std::vector<Slot> args) {
   if (args.size() != fn.params.size())
     throw InterpError("arity mismatch calling " + fn.name + ": expected " +
                       std::to_string(fn.params.size()) + ", got " +
@@ -538,60 +680,30 @@ Value Interp::call_function(const FuncDecl& fn, std::vector<Value> args) {
     now_ms_ += blocking_latency_ms_;
     if (observer_ != nullptr) observer_->on_blocking(fn.name, ctx_->sync_depth);
   }
-  Frame frame;
+  Frame<Slot> frame;
   frame.scopes.emplace_back();
   for (std::size_t i = 0; i < args.size(); ++i)
     frame.scopes.back()[fn.params[i].name] = std::move(args[i]);
   Value return_value;
   const FuncDecl* caller_fn = ctx_->current_fn;
   ctx_->current_fn = &fn;
+  if constexpr (kShadowed<Slot>) shadow_->enter(fn);
   try {
     exec_block(fn.body, frame, return_value);
   } catch (...) {
+    if constexpr (kShadowed<Slot>) shadow_->leave();
     ctx_->current_fn = caller_fn;
     --ctx_->call_depth;
     throw;
   }
+  if constexpr (kShadowed<Slot>) shadow_->leave();
   ctx_->current_fn = caller_fn;
   --ctx_->call_depth;
   return return_value;
 }
 
-namespace {
-
-/// StateAccess over the executing frame's scope stack (interp.hpp). Built
-/// per observed statement, only when the observer asked for state.
-class FrameStateAccess final : public StateAccess {
- public:
-  FrameStateAccess(std::vector<std::unordered_map<std::string, Value>>& scopes,
-                   int sync_depth)
-      : scopes_(scopes), sync_depth_(sync_depth) {}
-
-  Value* lookup(const std::string& name) override {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      const auto found = it->find(name);
-      if (found != it->end()) return &found->second;
-    }
-    return nullptr;
-  }
-
-  std::vector<std::string> local_names() const override {
-    std::vector<std::string> names;
-    for (const auto& scope : scopes_)
-      for (const auto& [name, value] : scope) names.push_back(name);
-    return names;
-  }
-
-  int sync_depth() const override { return sync_depth_; }
-
- private:
-  std::vector<std::unordered_map<std::string, Value>>& scopes_;
-  int sync_depth_;
-};
-
-}  // namespace
-
-Interp::Flow Interp::exec_block(const std::vector<StmtPtr>& stmts, Frame& frame,
+template <class Slot>
+Interp::Flow Interp::exec_block(const std::vector<StmtPtr>& stmts, Frame<Slot>& frame,
                                 Value& return_value) {
   frame.scopes.emplace_back();
   Flow flow = Flow::kNormal;
@@ -603,17 +715,29 @@ Interp::Flow Interp::exec_block(const std::vector<StmtPtr>& stmts, Frame& frame,
   return flow;
 }
 
-Interp::Flow Interp::exec_stmt(const Stmt& stmt, Frame& frame, Value& return_value) {
-  burn_fuel();
-  covered_.insert(stmt.id);
+template <class Slot>
+bool Interp::branch(const Expr& guard, Frame<Slot>& frame) {
+  const Slot condition = eval(guard, frame);
+  const bool taken = truthy(val(condition), guard);
+  if constexpr (kShadowed<Slot>) shadow_->branch(condition);
+  return taken;
+}
+
+template <class Slot>
+Interp::Flow Interp::exec_stmt(const Stmt& stmt, Frame<Slot>& frame, Value& return_value) {
+  burn_fuel<Slot>();
   if (observer_ != nullptr) {
     static const FuncDecl kNoFunc{};
     const FuncDecl& owner = ctx_->current_fn != nullptr ? *ctx_->current_fn : kNoFunc;
     observer_->on_stmt(owner, stmt);
     if (observer_->wants_state()) {
-      FrameStateAccess state(frame.scopes, ctx_->sync_depth);
+      FrameStateAccess<Slot> state(frame.scopes, ctx_->sync_depth);
       observer_->on_state(owner, stmt, state);
     }
+  }
+  if constexpr (kShadowed<Slot>) {
+    FrameStateAccess<Slot> state(frame.scopes, ctx_->sync_depth);
+    shadow_->on_stmt(stmt, state);
   }
   switch (stmt.kind) {
     case Stmt::Kind::kLet:
@@ -622,25 +746,22 @@ Interp::Flow Interp::exec_stmt(const Stmt& stmt, Frame& frame, Value& return_val
     case Stmt::Kind::kAssign:
       assign_lvalue(*stmt.expr, eval(*stmt.expr2, frame), frame);
       return Flow::kNormal;
-    case Stmt::Kind::kIf: {
-      if (truthy(eval(*stmt.expr, frame), *stmt.expr))
-        return exec_block(stmt.body, frame, return_value);
+    case Stmt::Kind::kIf:
+      if (branch(*stmt.expr, frame)) return exec_block(stmt.body, frame, return_value);
       return exec_block(stmt.else_body, frame, return_value);
-    }
-    case Stmt::Kind::kWhile: {
-      while (truthy(eval(*stmt.expr, frame), *stmt.expr)) {
-        burn_fuel();
+    case Stmt::Kind::kWhile:
+      while (branch(*stmt.expr, frame)) {
+        burn_fuel<Slot>();
         const Flow flow = exec_block(stmt.body, frame, return_value);
         if (flow == Flow::kReturn) return flow;
         if (flow == Flow::kBreak) break;
       }
       return Flow::kNormal;
-    }
     case Stmt::Kind::kReturn:
-      if (stmt.expr) return_value = eval(*stmt.expr, frame);
+      if (stmt.expr) return_value = untagged(eval(*stmt.expr, frame));
       return Flow::kReturn;
     case Stmt::Kind::kThrow:
-      throw MiniThrow(eval(*stmt.expr, frame));
+      throw MiniThrow(untagged(eval(*stmt.expr, frame)));
     case Stmt::Kind::kExpr:
       eval(*stmt.expr, frame);
       return Flow::kNormal;
@@ -649,21 +770,23 @@ Interp::Flow Interp::exec_stmt(const Stmt& stmt, Frame& frame, Value& return_val
       const FuncDecl* fn = program_.find_function(call.text);
       if (fn == nullptr)
         throw InterpError("spawn target must be a declared function: " + call.text);
-      std::vector<Value> args;
+      std::vector<Slot> args;
       args.reserve(call.args.size());
       for (const ExprPtr& arg : call.args) args.push_back(eval(*arg, frame));
       if (args.size() != fn->params.size())
         throw InterpError("arity mismatch spawning " + fn->name + ": expected " +
                           std::to_string(fn->params.size()) + ", got " +
                           std::to_string(args.size()));
-      if (sched_ != nullptr) {
-        sched_->spawn(*fn, std::move(args));
-      } else {
-        // Serial semantics: the thread root runs inline to completion at the
-        // spawn point, so replay without the scheduler sees exactly one
-        // interleaving. Only the schedule explorer quantifies over others.
-        call_function(*fn, std::move(args));
+      if constexpr (!kShadowed<Slot>) {
+        if (sched_ != nullptr) {
+          sched_->spawn(*fn, std::move(args));
+          return Flow::kNormal;
+        }
       }
+      // Serial semantics: the thread root runs inline to completion at the
+      // spawn point, so replay without the scheduler sees exactly one
+      // interleaving. Only the schedule explorer quantifies over others.
+      call_function(*fn, std::move(args));
       return Flow::kNormal;
     }
     case Stmt::Kind::kSync:
@@ -682,9 +805,10 @@ Interp::Flow Interp::exec_stmt(const Stmt& stmt, Frame& frame, Value& return_val
 
 // exec_sync and exec_try stay out of exec_stmt: their locals would enlarge
 // the frame that every statement pays for.
-Interp::Flow Interp::exec_sync(const Stmt& stmt, Frame& frame, Value& return_value) {
-  const Value monitor = eval(*stmt.expr, frame);
-  const std::string key = sched_ != nullptr ? monitor_key_of(monitor) : std::string();
+template <class Slot>
+Interp::Flow Interp::exec_sync(const Stmt& stmt, Frame<Slot>& frame, Value& return_value) {
+  const Slot monitor = eval(*stmt.expr, frame);
+  const std::string key = sched_ != nullptr ? monitor_key_of(val(monitor)) : std::string();
   if (sched_ != nullptr) sched_->sync_enter(key);
   ++ctx_->sync_depth;
   Flow flow = Flow::kNormal;
@@ -702,17 +826,21 @@ Interp::Flow Interp::exec_sync(const Stmt& stmt, Frame& frame, Value& return_val
   return flow;
 }
 
-Interp::Flow Interp::exec_try(const Stmt& stmt, Frame& frame, Value& return_value) {
+template <class Slot>
+Interp::Flow Interp::exec_try(const Stmt& stmt, Frame<Slot>& frame, Value& return_value) {
   // The handler runs after the C++ catch handler has exited, because it
   // may yield and no fiber may switch inside a handler.
+  const std::size_t depth = frame.scopes.size();
   std::optional<Value> caught;
   try {
     return exec_block(stmt.body, frame, return_value);
   } catch (const MiniThrow& thrown) {
     caught = thrown.value();
   }
+  // The throw skipped the pops of every scope the try body opened.
+  frame.scopes.resize(depth);
   frame.scopes.emplace_back();
-  frame.scopes.back()[stmt.catch_var] = std::move(*caught);
+  frame.scopes.back()[stmt.catch_var] = Slot{std::move(*caught)};
   Flow flow = Flow::kNormal;
   for (const StmtPtr& handler_stmt : stmt.else_body) {
     flow = exec_stmt(*handler_stmt, frame, return_value);
@@ -722,48 +850,44 @@ Interp::Flow Interp::exec_try(const Stmt& stmt, Frame& frame, Value& return_valu
   return flow;
 }
 
-Value* Interp::lookup(Frame& frame, const std::string& name) {
-  for (auto it = frame.scopes.rbegin(); it != frame.scopes.rend(); ++it) {
-    const auto found = it->find(name);
-    if (found != it->end()) return &found->second;
-  }
-  return nullptr;
-}
-
-void Interp::assign_lvalue(const Expr& lvalue, Value value, Frame& frame) {
+template <class Slot>
+void Interp::assign_lvalue(const Expr& lvalue, Slot value, Frame<Slot>& frame) {
   switch (lvalue.kind) {
     case Expr::Kind::kVar: {
-      Value* slot = lookup(frame, lvalue.text);
+      Slot* slot = FrameStateAccess<Slot>::find_local(frame.scopes, lvalue.text);
       if (slot == nullptr) throw InterpError("assignment to undeclared variable " + lvalue.text);
       *slot = std::move(value);
       return;
     }
     case Expr::Kind::kField: {
-      const Value base = eval(*lvalue.args[0], frame);
+      const Slot base_slot = eval(*lvalue.args[0], frame);
+      const Value& base = val(base_slot);
       if (base.is_null())
         throw MiniThrow(Value::of_string("NullPointerException: field write ." + lvalue.text));
       if (!base.is_object()) throw InterpError("field write on non-object");
       if (sched_ != nullptr)
         sched_->yield({ScheduleOp::Kind::kFieldWrite,
                        "f:" + std::to_string(base.as_object()->object_id) + "." + lvalue.text});
-      base.as_object()->fields[lvalue.text] = std::move(value);
+      base.as_object()->fields[lvalue.text] = untagged(std::move(value));
       return;
     }
     case Expr::Kind::kIndex: {
-      const Value base = eval(*lvalue.args[0], frame);
-      const Value index = eval(*lvalue.args[1], frame);
+      const Slot base_slot = eval(*lvalue.args[0], frame);
+      const Slot index_slot = eval(*lvalue.args[1], frame);
+      const Value& base = val(base_slot);
+      const Value& index = val(index_slot);
       if (base.is_list()) {
         auto& items = *base.as_list();
         const std::int64_t i = index.as_int();
         if (i < 0 || static_cast<std::size_t>(i) >= items.size())
           throw MiniThrow(Value::of_string("IndexOutOfBounds: " + std::to_string(i)));
-        items[static_cast<std::size_t>(i)] = std::move(value);
+        items[static_cast<std::size_t>(i)] = untagged(std::move(value));
         return;
       }
       if (base.is_map()) {
         const std::string key = index.is_string() ? index.as_string()
                                                   : std::to_string(index.as_int());
-        (*base.as_map())[key] = std::move(value);
+        (*base.as_map())[key] = untagged(std::move(value));
         return;
       }
       throw InterpError("index write on non-container");
@@ -773,71 +897,79 @@ void Interp::assign_lvalue(const Expr& lvalue, Value value, Frame& frame) {
   }
 }
 
-Value Interp::eval(const Expr& expr, Frame& frame) {
-  burn_fuel();
+template <class Slot>
+Slot Interp::eval(const Expr& expr, Frame<Slot>& frame) {
+  burn_fuel<Slot>();
   switch (expr.kind) {
-    case Expr::Kind::kIntLit: return Value::of_int(expr.int_value);
-    case Expr::Kind::kBoolLit: return Value::of_bool(expr.bool_value);
-    case Expr::Kind::kStrLit: return Value::of_string(expr.text);
-    case Expr::Kind::kNullLit: return Value::null();
+    case Expr::Kind::kIntLit: return Slot{Value::of_int(expr.int_value)};
+    case Expr::Kind::kBoolLit: return Slot{Value::of_bool(expr.bool_value)};
+    case Expr::Kind::kStrLit: return Slot{Value::of_string(expr.text)};
+    case Expr::Kind::kNullLit: return Slot{Value::null()};
     case Expr::Kind::kVar: {
-      Value* slot = lookup(frame, expr.text);
+      Slot* slot = FrameStateAccess<Slot>::find_local(frame.scopes, expr.text);
       if (slot == nullptr) throw InterpError("unknown variable: " + expr.text);
       return *slot;
     }
     case Expr::Kind::kField: {
-      const Value base = eval(*expr.args[0], frame);
+      const Slot base_slot = eval(*expr.args[0], frame);
+      const Value& base = val(base_slot);
       if (base.is_null())
         throw MiniThrow(Value::of_string("NullPointerException: field read ." + expr.text));
       if (!base.is_object()) throw InterpError("field read on non-object: ." + expr.text);
       if (sched_ != nullptr)
         sched_->yield({ScheduleOp::Kind::kFieldRead,
                        "f:" + std::to_string(base.as_object()->object_id) + "." + expr.text});
-      const auto& fields = base.as_object()->fields;
-      const auto it = fields.find(expr.text);
-      if (it == fields.end())
-        throw InterpError("object " + base.as_object()->struct_name + " has no field " +
-                          expr.text);
-      return it->second;
+      const Object& object = *base.as_object();
+      const auto it = object.fields.find(expr.text);
+      if (it == object.fields.end())
+        throw InterpError("object " + object.struct_name + " has no field " + expr.text);
+      if constexpr (kShadowed<Slot>)
+        return Shadowed{it->second, shadow_->field_read(object, expr.text, it->second)};
+      else
+        return it->second;
     }
     case Expr::Kind::kIndex: {
-      const Value base = eval(*expr.args[0], frame);
-      const Value index = eval(*expr.args[1], frame);
+      const Slot base_slot = eval(*expr.args[0], frame);
+      const Slot index_slot = eval(*expr.args[1], frame);
+      const Value& base = val(base_slot);
+      const Value& index = val(index_slot);
       if (base.is_list()) {
         const auto& items = *base.as_list();
         const std::int64_t i = index.as_int();
         if (i < 0 || static_cast<std::size_t>(i) >= items.size())
           throw MiniThrow(Value::of_string("IndexOutOfBounds: " + std::to_string(i)));
-        return items[static_cast<std::size_t>(i)];
+        return Slot{items[static_cast<std::size_t>(i)]};
       }
       if (base.is_map()) {
         const std::string key = index.is_string() ? index.as_string()
                                                   : std::to_string(index.as_int());
         const auto& map = *base.as_map();
         const auto it = map.find(key);
-        return it == map.end() ? Value::null() : it->second;
+        return Slot{it == map.end() ? Value::null() : it->second};
       }
       if (base.is_null())
         throw MiniThrow(Value::of_string("NullPointerException: index access"));
       throw InterpError("index on non-container");
     }
     case Expr::Kind::kUnary: {
-      const Value operand = eval(*expr.args[0], frame);
+      const Slot operand = eval(*expr.args[0], frame);
       if (expr.un_op == UnOp::kNot) {
-        if (!operand.is_bool()) throw InterpError("'!' on non-bool");
-        return Value::of_bool(!operand.as_bool());
+        if (!val(operand).is_bool()) throw InterpError("'!' on non-bool");
+        Slot out{Value::of_bool(!val(operand).as_bool())};
+        if constexpr (kShadowed<Slot>) out.shadow = shadow_->negate(operand);
+        return out;
       }
-      if (!operand.is_int()) throw InterpError("unary '-' on non-int");
-      return Value::of_int(-operand.as_int());
+      if (!val(operand).is_int()) throw InterpError("unary '-' on non-int");
+      return Slot{Value::of_int(-val(operand).as_int())};
     }
     case Expr::Kind::kBinary: return eval_binary(expr, frame);
     case Expr::Kind::kCall: {
       const FuncDecl* fn = program_.find_function(expr.text);
       if (fn != nullptr) {
-        std::vector<Value> args;
+        std::vector<Slot> args;
         args.reserve(expr.args.size());
         for (const ExprPtr& arg : expr.args) args.push_back(eval(*arg, frame));
-        return call_function(*fn, std::move(args));
+        return Slot{call_function(*fn, std::move(args))};
       }
       return call_builtin(expr.text, expr, frame);
     }
@@ -861,86 +993,37 @@ Value Interp::eval(const Expr& expr, Frame& frame) {
       for (std::size_t i = 0; i < expr.args.size(); ++i) {
         if (decl->find_field(expr.field_names[i]) == nullptr)
           throw InterpError("struct " + expr.text + " has no field " + expr.field_names[i]);
-        object->fields[expr.field_names[i]] = eval(*expr.args[i], frame);
+        object->fields[expr.field_names[i]] = untagged(eval(*expr.args[i], frame));
       }
-      return Value::of_object(std::move(object));
+      return Slot{Value::of_object(std::move(object))};
     }
   }
   throw InterpError("unreachable expression kind");
 }
 
-Value Interp::eval_binary(const Expr& expr, Frame& frame) {
-  // Short-circuit operators first.
-  if (expr.bin_op == BinOp::kAnd) {
-    const Value lhs = eval(*expr.args[0], frame);
-    if (!truthy(lhs, *expr.args[0])) return Value::of_bool(false);
-    return Value::of_bool(truthy(eval(*expr.args[1], frame), *expr.args[1]));
+template <class Slot>
+Slot Interp::eval_binary(const Expr& expr, Frame<Slot>& frame) {
+  Slot lhs = eval(*expr.args[0], frame);
+  if (expr.bin_op == BinOp::kAnd || expr.bin_op == BinOp::kOr) {
+    // Short-circuit: when lhs decides, it is the result.
+    if (truthy(val(lhs), *expr.args[0]) == (expr.bin_op == BinOp::kOr)) return lhs;
+    const Slot rhs = eval(*expr.args[1], frame);
+    Slot out{Value::of_bool(truthy(val(rhs), *expr.args[1]))};
+    if constexpr (kShadowed<Slot>) out.shadow = shadow_->combine(expr.bin_op, lhs, rhs);
+    return out;
   }
-  if (expr.bin_op == BinOp::kOr) {
-    const Value lhs = eval(*expr.args[0], frame);
-    if (truthy(lhs, *expr.args[0])) return Value::of_bool(true);
-    return Value::of_bool(truthy(eval(*expr.args[1], frame), *expr.args[1]));
-  }
-  const Value lhs = eval(*expr.args[0], frame);
-  const Value rhs = eval(*expr.args[1], frame);
-  switch (expr.bin_op) {
-    case BinOp::kEq: return Value::of_bool(lhs.equals(rhs));
-    case BinOp::kNe: return Value::of_bool(!lhs.equals(rhs));
-    case BinOp::kAdd:
-      if (lhs.is_string() || rhs.is_string())
-        return Value::of_string(lhs.to_display() + rhs.to_display());
-      if (lhs.is_int() && rhs.is_int()) return Value::of_int(lhs.as_int() + rhs.as_int());
-      throw InterpError("'+' on incompatible operands");
-    case BinOp::kSub:
-    case BinOp::kMul:
-    case BinOp::kDiv:
-    case BinOp::kMod: {
-      if (!lhs.is_int() || !rhs.is_int()) throw InterpError("arithmetic on non-int");
-      const std::int64_t a = lhs.as_int();
-      const std::int64_t b = rhs.as_int();
-      switch (expr.bin_op) {
-        case BinOp::kSub: return Value::of_int(a - b);
-        case BinOp::kMul: return Value::of_int(a * b);
-        case BinOp::kDiv:
-          if (b == 0) throw MiniThrow(Value::of_string("ArithmeticException: divide by zero"));
-          return Value::of_int(a / b);
-        default:
-          if (b == 0) throw MiniThrow(Value::of_string("ArithmeticException: mod by zero"));
-          return Value::of_int(a % b);
-      }
-    }
-    case BinOp::kLt:
-    case BinOp::kLe:
-    case BinOp::kGt:
-    case BinOp::kGe: {
-      if (lhs.is_string() && rhs.is_string()) {
-        const int cmp = lhs.as_string().compare(rhs.as_string());
-        switch (expr.bin_op) {
-          case BinOp::kLt: return Value::of_bool(cmp < 0);
-          case BinOp::kLe: return Value::of_bool(cmp <= 0);
-          case BinOp::kGt: return Value::of_bool(cmp > 0);
-          default: return Value::of_bool(cmp >= 0);
-        }
-      }
-      if (!lhs.is_int() || !rhs.is_int()) throw InterpError("comparison on incompatible types");
-      const std::int64_t a = lhs.as_int();
-      const std::int64_t b = rhs.as_int();
-      switch (expr.bin_op) {
-        case BinOp::kLt: return Value::of_bool(a < b);
-        case BinOp::kLe: return Value::of_bool(a <= b);
-        case BinOp::kGt: return Value::of_bool(a > b);
-        default: return Value::of_bool(a >= b);
-      }
-    }
-    default:
-      throw InterpError("unreachable binary operator");
-  }
+  const Slot rhs = eval(*expr.args[1], frame);
+  Slot out{binary_value(expr.bin_op, val(lhs), val(rhs))};
+  if constexpr (kShadowed<Slot>)
+    if (is_comparison(expr.bin_op)) out.shadow = shadow_->combine(expr.bin_op, lhs, rhs);
+  return out;
 }
 
-Value Interp::call_builtin(const std::string& name, const Expr& expr, Frame& frame) {
+template <class Slot>
+Slot Interp::call_builtin(const std::string& name, const Expr& expr, Frame<Slot>& frame) {
   std::vector<Value> args;
   args.reserve(expr.args.size());
-  for (const ExprPtr& arg : expr.args) args.push_back(eval(*arg, frame));
+  for (const ExprPtr& arg : expr.args) args.push_back(untagged(eval(*arg, frame)));
   if (sched_ != nullptr && blocking_builtins().count(name) > 0)
     sched_->yield({ScheduleOp::Kind::kBlocking, "io:" + name});
   BuiltinContext context;
@@ -952,7 +1035,7 @@ Value Interp::call_builtin(const std::string& name, const Expr& expr, Frame& fra
   context.sched = sched_;
   std::optional<Value> result = dispatch_builtin(name, args, context);
   if (!result.has_value()) throw InterpError("unknown function or builtin: " + name);
-  return std::move(*result);
+  return Slot{std::move(*result)};
 }
 
 bool Interp::run_test(const std::string& test_name) {
@@ -989,7 +1072,7 @@ ScheduleRunResult Interp::run_scheduled_test(const std::string& test_name,
   bool main_ok = false;
   std::string main_error;
   try {
-    call_function(*fn, {});
+    call_function<Value>(*fn, {});
     scheduler.join_all();  // implicit join: finish threads still running
     main_ok = true;
   } catch (const ScheduleAborted&) {

@@ -1,9 +1,13 @@
-// Tree-walking interpreter for MiniLang.
+// Tree-walking interpreter for MiniLang — the one MiniLang tree walk.
 //
-// This is the *concrete* engine: it runs corpus programs and their @test
-// functions natively (the concolic engine in src/concolic re-implements the
-// walk with shadow symbolic state). A virtual clock and a pluggable observer
-// make executions deterministic and measurable.
+// It runs corpus programs and their @test functions natively. A virtual
+// clock and a pluggable observer make executions deterministic and
+// measurable. The walk has two compile-time instantiations: the concrete
+// one carries bare values, and the shadow one (call_shadowed) carries an
+// opaque tag next to every local and argument and reports field reads,
+// operators, branches, statements, calls and steps to a ShadowPolicy. The
+// concolic engine (src/concolic) is such a policy, so a witness is found
+// and narrated by the same walk.
 //
 // Thread scheduling: `spawn f(args);` statements create cooperative thread
 // roots. Outside a scheduled run the spawned call executes inline to
@@ -104,6 +108,58 @@ class ExecObserver {
     (void)fn, (void)stmt, (void)state;
   }
 };
+
+// ---------------------------------------------------------------------------
+// Shadow walk
+// ---------------------------------------------------------------------------
+
+/// Tag the shadow walk carries next to a value. Opaque to the interpreter:
+/// only the ShadowPolicy that made a tag reads it.
+class ShadowTag {
+ public:
+  virtual ~ShadowTag() = default;
+};
+using ShadowPtr = std::shared_ptr<const ShadowTag>;
+
+/// A value as the shadow walk carries it. A null tag means untracked.
+/// Tags live on locals, arguments and expression results only: a value
+/// stored into a field or a container, returned from a function, or passed
+/// to a builtin loses its tag.
+struct Shadowed {
+  Shadowed() = default;
+  explicit Shadowed(Value v, ShadowPtr tag = nullptr)
+      : value(std::move(v)), shadow(std::move(tag)) {}
+  Value value;
+  ShadowPtr shadow;
+};
+
+/// The hook points of the shadow walk (Interp::call_shadowed).
+class ShadowPolicy {
+ public:
+  virtual ~ShadowPolicy() = default;
+  /// Tag for `value`, just read from `object.field`.
+  virtual ShadowPtr field_read(const Object& object, const std::string& field,
+                               const Value& value) = 0;
+  /// Tag for `!operand`.
+  virtual ShadowPtr negate(const Shadowed& operand) = 0;
+  /// Tag for `lhs op rhs` with op one of == != < <= > >=, or && / || when
+  /// the right operand was evaluated (a short-circuit keeps lhs as is).
+  virtual ShadowPtr combine(BinOp op, const Shadowed& lhs, const Shadowed& rhs) = 0;
+  /// An if or while guard has decided a branch.
+  virtual void branch(const Shadowed& guard) = 0;
+  /// Before every statement, with the live frame.
+  virtual void on_stmt(const Stmt& stmt, StateAccess& frame) = 0;
+  /// A call of `fn` begins; leave() ends the innermost call, by return or
+  /// by an escaping exception.
+  virtual void enter(const FuncDecl& fn) = 0;
+  virtual void leave() = 0;
+  /// Every kShadowStepStride statements and expressions. May throw to cut
+  /// the run off.
+  virtual void charge_steps(std::int64_t steps) = 0;
+};
+
+/// Steps between two ShadowPolicy::charge_steps calls.
+inline constexpr std::int64_t kShadowStepStride = 256;
 
 /// Names of builtins that model blocking I/O (serialization, disk, network).
 /// These advance the virtual clock and trip the blocking-in-sync detector.
@@ -245,15 +301,21 @@ class Interp {
 
   void set_observer(ExecObserver* observer) { observer_ = observer; }
 
+  /// Calls `function` with no arguments on the shadow walk: `policy` tags
+  /// values and sees every hook point. Each call is a fresh execution —
+  /// fuel and object ids restart, so ids name the same objects run after
+  /// run — with serial spawn semantics. Throws like call().
+  Value call_shadowed(const std::string& function, ShadowPolicy& policy);
+
   /// Output accumulated by print(); cleared by take_output().
   [[nodiscard]] std::string take_output() { return std::exchange(output_, std::string()); }
 
-  /// Statement ids executed since construction (coverage).
-  [[nodiscard]] const std::unordered_set<int>& covered_stmts() const { return covered_; }
-
  private:
+  /// The walk is instantiated on its slot type: Value for the concrete walk,
+  /// Shadowed for the shadow walk.
+  template <class Slot>
   struct Frame {
-    std::vector<std::unordered_map<std::string, Value>> scopes;
+    std::vector<std::unordered_map<std::string, Slot>> scopes;
   };
   enum class Flow { kNormal, kReturn, kBreak, kContinue };
 
@@ -272,16 +334,28 @@ class Interp {
   class Scheduler;  // cooperative fiber scheduler (interp.cpp)
   friend class Scheduler;
 
-  Value call_function(const FuncDecl& fn, std::vector<Value> args);
-  Flow exec_block(const std::vector<StmtPtr>& stmts, Frame& frame, Value& return_value);
-  Flow exec_stmt(const Stmt& stmt, Frame& frame, Value& return_value);
-  Flow exec_sync(const Stmt& stmt, Frame& frame, Value& return_value);
-  Flow exec_try(const Stmt& stmt, Frame& frame, Value& return_value);
-  Value eval(const Expr& expr, Frame& frame);
-  Value eval_binary(const Expr& expr, Frame& frame);
-  Value call_builtin(const std::string& name, const Expr& expr, Frame& frame);
-  Value* lookup(Frame& frame, const std::string& name);
-  void assign_lvalue(const Expr& lvalue, Value value, Frame& frame);
+  // The walk (interp.cpp). Every instantiation is made there.
+  template <class Slot>
+  Value call_function(const FuncDecl& fn, std::vector<Slot> args);
+  template <class Slot>
+  Flow exec_block(const std::vector<StmtPtr>& stmts, Frame<Slot>& frame, Value& return_value);
+  template <class Slot>
+  Flow exec_stmt(const Stmt& stmt, Frame<Slot>& frame, Value& return_value);
+  template <class Slot>
+  Flow exec_sync(const Stmt& stmt, Frame<Slot>& frame, Value& return_value);
+  template <class Slot>
+  Flow exec_try(const Stmt& stmt, Frame<Slot>& frame, Value& return_value);
+  template <class Slot>
+  bool branch(const Expr& guard, Frame<Slot>& frame);
+  template <class Slot>
+  Slot eval(const Expr& expr, Frame<Slot>& frame);
+  template <class Slot>
+  Slot eval_binary(const Expr& expr, Frame<Slot>& frame);
+  template <class Slot>
+  Slot call_builtin(const std::string& name, const Expr& expr, Frame<Slot>& frame);
+  template <class Slot>
+  void assign_lvalue(const Expr& lvalue, Slot value, Frame<Slot>& frame);
+  template <class Slot>
   void burn_fuel();
   [[nodiscard]] bool truthy(const Value& v, const Expr& where) const;
 
@@ -297,8 +371,8 @@ class Interp {
   ThreadCtx main_ctx_;
   ThreadCtx* ctx_ = &main_ctx_;
   Scheduler* sched_ = nullptr;  // non-null only inside run_scheduled_test
+  ShadowPolicy* shadow_ = nullptr;  // non-null only inside call_shadowed
   std::uint64_t next_object_id_ = 1;
-  std::unordered_set<int> covered_;
 };
 
 }  // namespace lisa::minilang

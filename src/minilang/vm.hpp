@@ -1,8 +1,8 @@
 // Stack-based bytecode VM for MiniLang — the fast execution engine.
 //
 // Observationally equivalent to the tree-walking Interp (enforced by
-// differential property tests); used where throughput matters: the CI gate
-// replays whole test suites on every commit.
+// differential property tests). Only the benches and the tests run it; the
+// gate, concolic replay and schedule exploration all run Interp.
 #pragma once
 
 #include <cstdint>

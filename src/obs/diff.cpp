@@ -150,7 +150,7 @@ Json DiffReport::to_json() const {
     entry["after"] = contract.after;
     entry["flipped"] = contract.flipped;
     entry["notes"] = Json::strings(contract.notes);
-    contract_entries.push_back(Json(std::move(entry)));
+    contract_entries.emplace_back(std::move(entry));
   }
   root["contracts"] = Json(std::move(contract_entries));
   JsonArray metric_entries;
@@ -160,7 +160,7 @@ Json DiffReport::to_json() const {
     entry["before"] = metric.before;
     entry["after"] = metric.after;
     entry["delta"] = metric.delta();
-    metric_entries.push_back(Json(std::move(entry)));
+    metric_entries.emplace_back(std::move(entry));
   }
   root["metrics"] = Json(std::move(metric_entries));
   return Json(std::move(root));

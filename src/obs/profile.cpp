@@ -83,7 +83,7 @@ support::Json CostTable::to_json() const {
     entry["count"] = row.count;
     entry["inclusive_ms"] = row.inclusive_ms;
     entry["exclusive_ms"] = row.exclusive_ms;
-    span_rows.push_back(support::Json(std::move(entry)));
+    span_rows.emplace_back(std::move(entry));
   }
   support::JsonArray hotspot_rows;
   for (const SmtHotspot& hotspot : hotspots) {
@@ -91,7 +91,7 @@ support::Json CostTable::to_json() const {
     entry["contract"] = hotspot.contract_id;
     entry["queries"] = hotspot.queries;
     entry["solve_ms"] = hotspot.solve_ms;
-    hotspot_rows.push_back(support::Json(std::move(entry)));
+    hotspot_rows.emplace_back(std::move(entry));
   }
   support::JsonObject root;
   root["wall_ms"] = wall_ms;

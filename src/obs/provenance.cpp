@@ -144,7 +144,7 @@ Json narration_to_json(const Narration& narration) {
     item["sync_depth"] = step.sync_depth;
     if (step.thread != 0) item["thread"] = step.thread;
     if (!step.note.empty()) item["note"] = step.note;
-    steps.push_back(Json(std::move(item)));
+    steps.emplace_back(std::move(item));
   }
   entry["steps"] = Json(std::move(steps));
   JsonArray predicate;
@@ -153,7 +153,7 @@ Json narration_to_json(const Narration& narration) {
     item["text"] = term.text;
     item["value"] = term.value;
     item["holds"] = term.holds;
-    predicate.push_back(Json(std::move(item)));
+    predicate.emplace_back(std::move(item));
   }
   entry["predicate"] = Json(std::move(predicate));
   if (!narration.detail.empty()) entry["detail"] = narration.detail;

@@ -54,7 +54,7 @@ support::Json Tracer::chrome_trace() const {
     args["parent_id"] = static_cast<std::int64_t>(span.parent_id);
     for (const auto& [key, value] : span.attrs) args[key] = value;
     event["args"] = support::Json(std::move(args));
-    events.push_back(support::Json(std::move(event)));
+    events.emplace_back(std::move(event));
   }
   support::JsonObject root;
   root["traceEvents"] = support::Json(std::move(events));

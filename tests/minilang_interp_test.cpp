@@ -2,8 +2,12 @@
 // builtins, exceptions, the virtual clock, and the blocking observer.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "minilang/compiler.hpp"
 #include "minilang/interp.hpp"
 #include "minilang/sema.hpp"
+#include "minilang/vm.hpp"
 
 namespace lisa::minilang {
 namespace {
@@ -130,6 +134,26 @@ fn main() -> string {
   EXPECT_EQ(run(program).as_string(), "caught: too big");
 }
 
+TEST(Interp, CaughtThrowEndsTheTryBodyScopes) {
+  // A local the try body declared must not outlive the throw that left it.
+  const std::string source = R"(
+fn main() -> int {
+  let x = 1;
+  try {
+    let x = 2;
+    throw "e";
+  } catch (e) {
+  }
+  return x;
+}
+)";
+  EXPECT_EQ(run(source).as_int(), 1);
+  const Program program = parse_checked(source);
+  const Module module = compile(program);
+  Vm vm(module);
+  EXPECT_EQ(vm.call("main", {}).as_int(), 1);
+}
+
 TEST(Interp, UncaughtThrowEscapesToHost) {
   try {
     run("fn main() { throw \"kaboom\"; }");
@@ -236,11 +260,19 @@ fn main(flag: bool) -> int {
   return 2;
 }
 )");
+  struct Coverage : ExecObserver {
+    std::set<int> ids;
+    void on_stmt(const FuncDecl& fn, const Stmt& stmt) override {
+      (void)fn;
+      ids.insert(stmt.id);
+    }
+  } coverage;
   Interp interp(program);
+  interp.set_observer(&coverage);
   interp.call("main", {Value::of_bool(true)});
-  const std::size_t after_true = interp.covered_stmts().size();
+  const std::size_t after_true = coverage.ids.size();
   interp.call("main", {Value::of_bool(false)});
-  EXPECT_GT(interp.covered_stmts().size(), after_true);
+  EXPECT_GT(coverage.ids.size(), after_true);
 }
 
 TEST(Interp, MethodSugarDispatch) {

@@ -821,7 +821,7 @@ int cmd_trends(int argc, char** argv) {
       for (const auto& [name, values] : series) {
         support::JsonObject metric;
         support::JsonArray value_entries;
-        for (const double value : values) value_entries.push_back(support::Json(value));
+        for (const double value : values) value_entries.emplace_back(value);
         metric["values"] = support::Json(std::move(value_entries));
         metric["latest"] = values.back();
         metric["sparkline"] = sparkline(values);
