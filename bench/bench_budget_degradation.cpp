@@ -50,10 +50,10 @@ CorpusOutcome run_corpus(std::int64_t max_smt_queries) {
     support::BudgetLimits limits;
     limits.max_smt_queries = max_smt_queries;
     support::Budget budget(limits);
-    core::CheckOptions options;
-    if (max_smt_queries > 0) options.budget = &budget;
-    const core::Pipeline pipeline(inference::MockLlmOptions{}, options);
-    const core::PipelineResult result = pipeline.run(ticket, ticket.patched_source);
+    core::PipelineRunOptions run_options;
+    if (max_smt_queries > 0) run_options.budget = &budget;
+    const core::PipelineResult result =
+        core::Pipeline().run(ticket, ticket.patched_source, run_options);
     for (const core::ContractCheckReport& report : result.reports) {
       ++outcome.contracts;
       outcome.inconclusive +=

@@ -115,9 +115,10 @@ TEST(ProvenanceLedger, NullLedgerLeavesCheckOutputByteIdentical) {
   core::CheckOptions plain;
   core::ContractCheckReport without = checker.check(program, translation.contracts[0], plain);
   obs::ProvenanceLedger ledger;
-  core::CheckOptions captured;
+  core::RunContext captured;
   captured.ledger = &ledger;
-  core::ContractCheckReport with = checker.check(program, translation.contracts[0], captured);
+  core::ContractCheckReport with =
+      checker.check(program, translation.contracts[0], plain, captured);
   // Wall-clock fields differ between any two runs; everything else must be
   // byte-identical — capture may not perturb a single verdict or witness.
   without.screen_ms = with.screen_ms = 0.0;
@@ -191,12 +192,12 @@ TEST(BudgetProvenance, ExhaustionReasonIsTypedAndCounted) {
   support::BudgetLimits limits;
   limits.max_smt_queries = 1;
   support::Budget budget(limits);
-  core::CheckOptions options;
-  options.budget = &budget;
+  core::RunContext run;
+  run.budget = &budget;
   obs::metrics().reset();
   const core::Checker checker;
   const core::ContractCheckReport report =
-      checker.check(program, translation.contracts[0], options);
+      checker.check(program, translation.contracts[0], {}, run);
   ASSERT_TRUE(report.budget_exhausted);
   EXPECT_EQ(report.budget_resource, "smt-queries");
   EXPECT_EQ(obs::metrics().counter("budget.exhausted{reason=smt-queries}").value(), 1);

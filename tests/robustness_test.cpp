@@ -346,10 +346,9 @@ TEST_F(Robustness, TightBudgetDegradesMonotonically) {
   BudgetLimits limits;
   limits.max_smt_queries = 1;
   Budget budget(limits);
-  CheckOptions governed_options;
+  core::PipelineRunOptions governed_options;
   governed_options.budget = &budget;
-  const Pipeline governed_pipeline(inference::MockLlmOptions{}, governed_options);
-  const PipelineResult governed = pipeline_result(governed_pipeline, *ticket);
+  const PipelineResult governed = pipeline_result(reference, *ticket, governed_options);
 
   EXPECT_TRUE(budget.exhausted());
   ASSERT_EQ(governed.reports.size(), ungoverned.reports.size());
@@ -471,10 +470,9 @@ TEST_F(Robustness, ResumeReChecksBudgetCutEntriesToCompletion) {
   BudgetLimits limits;
   limits.max_smt_queries = 1;
   Budget budget(limits);
-  CheckOptions governed_options;
-  governed_options.budget = &budget;
-  const Pipeline governed(inference::MockLlmOptions{}, governed_options);
-  const PipelineResult cut = governed.run(*ticket, ticket->patched_source, journaling);
+  core::PipelineRunOptions governed = journaling;
+  governed.budget = &budget;
+  const PipelineResult cut = Pipeline().run(*ticket, ticket->patched_source, governed);
   int inconclusive = 0;
   for (const ContractCheckReport& report : cut.reports)
     if (!report.conclusive()) ++inconclusive;

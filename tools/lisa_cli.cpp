@@ -278,11 +278,11 @@ int cmd_check(const std::string& case_id, int argc, char** argv) {
   if (!trace_path.empty()) obs::tracer().set_enabled(true);
   apply_schedule_limits(limits, &options);
   support::Budget budget(limits);
-  if (!limits.unlimited()) options.budget = &budget;
+  if (!limits.unlimited()) run_options.budget = &budget;
   const core::Pipeline pipeline(inference::MockLlmOptions{}, options);
   const core::PipelineResult result = pipeline.run(*ticket, source, run_options);
   std::printf("%s", core::render_markdown(result).c_str());
-  if (options.budget != nullptr) {
+  if (run_options.budget != nullptr) {
     int inconclusive = 0;
     for (const core::ContractCheckReport& report : result.reports)
       if (!report.conclusive()) ++inconclusive;
@@ -446,7 +446,7 @@ int cmd_gate(const std::string& case_id, const std::string& path, int argc, char
   apply_schedule_limits(limits, &options);
   if (schedule_seed != 0) options.schedule_seed = schedule_seed;
   support::Budget budget(limits);
-  if (!limits.unlimited()) options.budget = &budget;
+  if (!limits.unlimited()) run_options.budget = &budget;
   obs::ProvenanceLedger ledger;
   if (!report_dir.empty()) run_options.ledger = &ledger;
   const core::GateDecision decision =
