@@ -259,6 +259,41 @@ fi
 rm -rf "$sched_dir"
 echo "schedule chaos smoke: OK (injected fault blocked the gate, narrated)"
 
+# Gate resume smoke: a journaled gate run on a regressing commit and its
+# --resume rerun must both block (exit 1) with the same reasons. The rerun
+# replays contracts from the journal and says so; apart from that note and
+# the timing line, the two reports are identical.
+resume_dir=$(mktemp -d)
+"$BUILD_DIR"/tools/lisa source zk-1208-ephemeral-create --buggy > "$resume_dir/commit.ml"
+for run in first second; do
+  resume_flag=()
+  [[ "$run" == second ]] && resume_flag=(--resume)
+  resume_status=0
+  "$BUILD_DIR"/tools/lisa gate zk-1208-ephemeral-create "$resume_dir/commit.ml" \
+    --journal "$resume_dir/journal.jsonl" "${resume_flag[@]}" \
+    > "$resume_dir/$run.md" 2>/dev/null || resume_status=$?
+  if [[ "$resume_status" -ne 1 ]]; then
+    echo "check.sh: $run journaled gate run exited $resume_status (expected 1: blocked)" >&2
+    exit 1
+  fi
+done
+if grep -q '^_Resumed ' "$resume_dir/first.md" ||
+   ! grep -q '^_Resumed [1-9][0-9]* contract(s)' "$resume_dir/second.md"; then
+  echo "check.sh: only the --resume gate run must report resumed contracts" >&2
+  exit 1
+fi
+if ! grep -q '^- ' "$resume_dir/first.md"; then
+  echo "check.sh: blocked gate run lists no block reasons" >&2
+  exit 1
+fi
+if ! diff <(grep -v '^_Gate evaluation:' "$resume_dir/first.md" | cat -s) \
+          <(grep -v -e '^_Gate evaluation:' -e '^_Resumed ' "$resume_dir/second.md" | cat -s); then
+  echo "check.sh: resumed gate report differs beyond the resume note (diff above)" >&2
+  exit 1
+fi
+rm -rf "$resume_dir"
+echo "gate resume smoke: OK (both runs blocked with the same reasons, rerun resumed)"
+
 # Bench-snapshot smoke: a FAST snapshot must produce a parseable file with
 # the documented schema (benches -> wall_ms, corpus -> settled fraction and
 # verdict counts), and the incremental bench must export its re-check

@@ -644,6 +644,7 @@ bool Interp::truthy(const Value& v, const Expr& where) const {
 Value Interp::call(const std::string& function, std::vector<Value> args) {
   const FuncDecl* fn = program_.find_function(function);
   if (fn == nullptr) throw InterpError("unknown function: " + function);
+  fuel_used_ = 0;
   return call_function<Value>(*fn, std::move(args));
 }
 
@@ -1067,6 +1068,7 @@ ScheduleRunResult Interp::run_scheduled_test(const std::string& test_name,
     out.error = "unknown test: " + test_name;
     return out;
   }
+  fuel_used_ = 0;
   Scheduler scheduler(*this, controller);
   sched_ = &scheduler;
   bool main_ok = false;

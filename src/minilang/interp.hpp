@@ -295,7 +295,8 @@ class Interp {
   /// Per-blocking-call latency added to the virtual clock.
   void set_blocking_latency_ms(std::int64_t ms) { blocking_latency_ms_ = ms; }
 
-  /// Upper bound on executed statements per call(); guards against
+  /// Upper bound on executed statements per top-level call(), run_test() or
+  /// run_scheduled_test() — each starts a fresh count; guards against
   /// non-terminating corpus programs. Default 2 million.
   void set_fuel(std::int64_t fuel) { fuel_limit_ = fuel; }
 

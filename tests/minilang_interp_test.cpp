@@ -186,6 +186,50 @@ TEST(Interp, FuelLimitStopsInfiniteLoops) {
   EXPECT_THROW(interp.call("main", {}), InterpError);
 }
 
+TEST(Interp, FuelIsPerRunNotPerInterpreter) {
+  Program program = parse_checked(R"(
+@test
+fn test_loop() {
+  let i = 0;
+  while (i < 150) { i = i + 1; }
+  assert(i == 150, "loop finished");
+}
+)");
+  Interp interp(program);
+  interp.set_fuel(2000);
+  for (int run = 0; run < 5; ++run) {
+    EXPECT_TRUE(interp.run_test("test_loop")) << "run " << run << ": " << interp.last_error();
+    EXPECT_FALSE(interp.last_run_hit_step_limit()) << "run " << run;
+  }
+}
+
+TEST(Interp, FuelIsPerScheduledRun) {
+  Program program = parse_checked(R"(
+fn count() {
+  let i = 0;
+  while (i < 150) { i = i + 1; }
+}
+@test
+fn test_spawned_loop() {
+  spawn count();
+  join_all();
+}
+)");
+  struct FirstRunnable final : ScheduleController {
+    int pick(const std::vector<ThreadStatus>& runnable) override {
+      (void)runnable;
+      return 0;
+    }
+  } controller;
+  Interp interp(program);
+  interp.set_fuel(2000);
+  for (int run = 0; run < 5; ++run) {
+    const ScheduleRunResult result = interp.run_scheduled_test("test_spawned_loop", controller);
+    EXPECT_TRUE(result.test_passed) << "run " << run << ": " << result.error;
+    EXPECT_FALSE(result.degraded) << "run " << run;
+  }
+}
+
 TEST(Interp, VirtualClockAdvances) {
   Program program = parse_checked(R"(
 fn main() -> int {
