@@ -323,6 +323,8 @@ TEST(GateSchedule, ViolatingInterleavingBlocksWithLedgerRecordedWitness) {
 /// Golden values recorded with the earlier one-OS-thread-per-MiniLang-
 /// thread scheduler. The fiber scheduler must reproduce the DFS exactly:
 /// the same schedule counts, the same witnesses, the same gate reports.
+/// The report sums count one explored contract per program: the other
+/// tickets' atomic / eventually contracts have no target in it.
 struct ScheduleGolden {
   std::string case_id;
   int buggy_schedules;
@@ -337,15 +339,15 @@ const std::vector<ScheduleGolden>& schedule_goldens() {
       {"zk-session-close-race", 2,
        "test=test_concurrent_create_and_close;seed=0;decisions=0,0,1,1,1,2,2,2;"
        "outcome=assert-failure;detail=assertion failed: no ephemeral survives a closed session",
-       32, 6, 96},
+       32, 2, 32},
       {"hbase-counter-race", 2,
        "test=test_concurrent_increments_all_land;seed=0;decisions=0,0,1,1,2,2,1;"
        "outcome=assert-failure;detail=assertion failed: no increment lost",
-       1209, 6, 3627},
+       1209, 2, 1209},
       {"cass-flush-notify", 5,
        "test=test_concurrent_signal_wakes_waiter;seed=0;decisions=0,0,1,2,2,1,1;"
        "outcome=hang;detail=schedule hang: no runnable thread; t0 joining t2 waiting on obj:1",
-       44, 15, 132},
+       44, 5, 44},
   };
   return goldens;
 }
@@ -369,6 +371,34 @@ int report_schedule_sum(const std::string& source) {
        core::CiGate(options).evaluate(source, full_store()).reports)
     sum += report.schedules_explored;
   return sum;
+}
+
+TEST(ScheduleWitness, OnlyTheContractTargetingTheProgramCarriesTheWitness) {
+  // Exploration is contract-blind, so the witness belongs to the program's
+  // own race: the other tickets' atomic / eventually contracts have no
+  // target statement in it and are vacuous, in the gate and the checker.
+  const corpus::FailureTicket& ticket = ticket_or_die("hbase-counter-race");
+  core::CheckOptions options;
+  options.run_concolic = false;  // as `lisa gate` runs it
+  const core::GateDecision decision =
+      core::CiGate(options).evaluate(ticket.buggy_source, full_store());
+  EXPECT_FALSE(decision.allowed);
+  std::vector<std::string> witnessed;
+  for (const core::ContractCheckReport& report : decision.reports)
+    if (!report.schedule_witness.empty()) witnessed.push_back(report.contract_id);
+  EXPECT_EQ(witnessed, std::vector<std::string>{"hbase-counter-race#0"});
+
+  const minilang::Program program = minilang::parse_checked(ticket.buggy_source);
+  for (const core::SemanticContract& contract : full_store().all()) {
+    if (contract.id != "zk-session-close-race#0" && contract.id != "cass-flush-notify#0")
+      continue;
+    const core::ContractCheckReport report = core::Checker().check(program, contract, options);
+    EXPECT_EQ(report.target_statements, 0u) << contract.id;
+    EXPECT_TRUE(report.schedule_witness.empty()) << contract.id;
+    EXPECT_EQ(report.schedules_explored, 0) << contract.id;
+    EXPECT_TRUE(report.passed()) << contract.id;
+    EXPECT_TRUE(report.conclusive()) << contract.id;
+  }
 }
 
 TEST(ScheduleParity, ExplorationMatchesTheOsThreadSchedulerGoldens) {
