@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/paths.hpp"
 #include "lisa/checker.hpp"
 #include "lisa/pipeline.hpp"
 #include "minilang/sema.hpp"
@@ -266,8 +267,11 @@ void screener_only_loop(benchmark::State& state, bool use_summaries) {
     for (const Workload::Item& item : workload().items) {
       if (item.contract->condition == nullptr) continue;
       const staticcheck::Screener screener(*item.program, use_summaries);
-      const staticcheck::ScreenResult result = screener.screen_state_predicate(
-          item.contract->target_fragment, item.contract->condition);
+      analysis::TreeOptions tree_options;
+      tree_options.contract_condition = item.contract->condition;
+      const staticcheck::ScreenResult result =
+          screener.screen_state_predicate(analysis::decide_execution_tree(
+              *item.program, screener.graph(), item.contract->target_fragment, tree_options));
       settled += result.verdict != staticcheck::ScreenVerdict::kUnknown ? 1 : 0;
     }
     benchmark::DoNotOptimize(settled);

@@ -21,10 +21,6 @@ struct CallSite {
   const minilang::FuncDecl* caller = nullptr;
   const minilang::Stmt* stmt = nullptr;
   const minilang::Expr* call = nullptr;  // Expr::Kind::kCall
-  /// True if the site is lexically inside a `sync` block of `caller`.
-  bool inside_sync = false;
-  /// The innermost enclosing `sync` statement, or null when !inside_sync.
-  const minilang::Stmt* sync_stmt = nullptr;
 
   [[nodiscard]] const std::string& callee() const { return call->text; }
 };

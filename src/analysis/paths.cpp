@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "minilang/printer.hpp"
+#include "obs/trace.hpp"
 #include "smt/minilang_bridge.hpp"
 
 namespace lisa::analysis {
@@ -292,6 +293,48 @@ ExecutionTree build_execution_tree(const Program& program, const CallGraph& grap
                                    const std::string& target_fragment,
                                    const TreeOptions& options) {
   return TreeBuilder(program, graph, options).build(target_fragment);
+}
+
+DecidedTree decide_execution_tree(const Program& program, const CallGraph& graph,
+                                  const std::string& target_fragment,
+                                  const TreeOptions& options, support::Budget* budget,
+                                  obs::SmtCaptureSink* capture) {
+  DecidedTree decided;
+  decided.options = options;
+  obs::ScopedSpan tree_span("checker.tree");
+  decided.tree = build_execution_tree(program, graph, target_fragment, options);
+  tree_span.attr("paths", decided.tree.paths.size());
+  tree_span.attr("raw_paths", decided.tree.enumerated_raw);
+  tree_span.close();
+
+  obs::ScopedSpan static_span("checker.static_paths");
+  smt::Solver solver;
+  solver.set_budget(budget);
+  solver.set_capture(capture);
+  int verified = 0;
+  int violated = 0;
+  int inconclusive = 0;
+  for (const ExecutionPath& path : decided.tree.paths) {
+    std::optional<smt::SolveResult>& decision = decided.decisions.emplace_back();
+    if (budget != nullptr && !budget->charge_path()) {
+      // A refused path is inconclusive, never silently verified.
+      decision = smt::SolveResult{smt::Status::kUnknown, {}, budget->exhausted_reason()};
+    } else if (path.mappable) {
+      decision = solver.solve(
+          smt::Formula::conj2(path.condition, smt::Formula::negate(path.renamed_contract)));
+    }
+    if (!decision.has_value()) continue;
+    if (decision->unknown())
+      ++inconclusive;
+    else if (decision->sat())
+      ++violated;
+    else
+      ++verified;
+  }
+  static_span.attr("verified", verified);
+  static_span.attr("violated", violated);
+  if (inconclusive > 0) static_span.attr("inconclusive", inconclusive);
+  return decided;
 }
 
 }  // namespace lisa::analysis

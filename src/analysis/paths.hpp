@@ -22,6 +22,7 @@
 // documented in DESIGN.md).
 #pragma once
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "analysis/callgraph.hpp"
 #include "analysis/rename.hpp"
 #include "smt/formula.hpp"
+#include "smt/solver.hpp"
 
 namespace lisa::analysis {
 
@@ -80,5 +82,27 @@ find_target_statements(const minilang::Program& program, const std::string& frag
                                                  const CallGraph& graph,
                                                  const std::string& target_fragment,
                                                  const TreeOptions& options);
+
+/// An execution tree with its one decision per path: π ∧ ¬P, solved once,
+/// read by both the checker's path verdicts and the screener.
+struct DecidedTree {
+  ExecutionTree tree;
+  TreeOptions options;  // what the tree was built with, contract included
+  /// Parallel to tree.paths. nullopt: the path is unmappable and was not
+  /// solved. kUnknown: the budget refused the path (reason set) or the
+  /// solver gave no answer.
+  std::vector<std::optional<smt::SolveResult>> decisions;
+};
+
+/// Builds the tree for `target_fragment` against `options.contract_condition`
+/// and decides each path in order, charging one path to `budget` before
+/// each (nullptr = ungoverned). The solver charges each query to `budget`
+/// and reports it to `capture` (nullptr = none).
+[[nodiscard]] DecidedTree decide_execution_tree(const minilang::Program& program,
+                                                const CallGraph& graph,
+                                                const std::string& target_fragment,
+                                                const TreeOptions& options,
+                                                support::Budget* budget = nullptr,
+                                                obs::SmtCaptureSink* capture = nullptr);
 
 }  // namespace lisa::analysis

@@ -1,11 +1,12 @@
 #include "lisa/checker.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <optional>
 #include <set>
 
 #include "analysis/paths.hpp"
-#include "analysis/patterns.hpp"
 #include "concolic/engine.hpp"
 #include "concolic/schedule.hpp"
 #include "inference/embedding.hpp"
@@ -424,6 +425,24 @@ void record_screen(const staticcheck::ScreenResult& screen, ContractCheckReport&
   report.screen_ms = screen.elapsed_ms;
 }
 
+/// Holds SMT queries back until flush(), so a phase decided early can still
+/// appear after one recorded later.
+class HeldSmtCapture final : public obs::SmtCaptureSink {
+ public:
+  void on_smt_query(const std::string& query, const std::string& status,
+                    const std::string& model, const std::string& reason) override {
+    held_.push_back({query, status, model, reason});
+  }
+  void flush(obs::SmtCaptureSink& sink) {
+    for (const auto& [query, status, model, reason] : held_)
+      sink.on_smt_query(query, status, model, reason);
+    held_.clear();
+  }
+
+ private:
+  std::vector<std::array<std::string, 4>> held_;
+};
+
 void record_budget_exhaustion(const support::Budget* budget, ContractCheckReport& report) {
   if (budget == nullptr || !budget->exhausted()) return;
   report.budget_exhausted = true;
@@ -431,9 +450,9 @@ void record_budget_exhaustion(const support::Budget* budget, ContractCheckReport
   report.budget_resource = support::budget_resource_name(budget->exhausted_resource());
 }
 
-/// The path-sensitive lock-state dataflow subsumes the older structural walk
-/// (analysis/patterns.cpp): same monitor rule, but exception edges release
-/// monitors and nested sync depth is tracked per path.
+/// The no-blocking-in-sync rule is the path-sensitive lock-state dataflow:
+/// exception edges release monitors and nested sync depth is tracked per
+/// path.
 void check_structural(const ProgramFacts& facts, const SemanticContract& contract,
                       const obs::CaptureHandle& capture, ContractCheckReport& report) {
   staticcheck::ScreenOptions screen_options;
@@ -555,15 +574,30 @@ void check_state_predicate(const ProgramFacts& facts, const SemanticContract& co
                            const CheckOptions& options, support::Budget* budget,
                            const obs::CaptureHandle& capture, ContractCheckReport& report) {
   const minilang::Program& program = facts.program();
+  // ---- Static assertion over the execution tree ---------------------------
+  // Every path's π ∧ ¬P is decided once, here; the screener reads the same
+  // decisions. Their ledger entries are held back so the screen's queries
+  // still precede them.
+  analysis::TreeOptions tree_options;
+  tree_options.max_paths = options.max_paths;
+  tree_options.prune_irrelevant = options.prune_irrelevant;
+  tree_options.contract_condition = contract.condition;
+  HeldSmtCapture held_smt;
+  const analysis::DecidedTree decided = analysis::decide_execution_tree(
+      program, facts.screener().graph(), contract.target_fragment, tree_options, budget,
+      capture.active() ? &held_smt : nullptr);
+  const analysis::ExecutionTree& tree = decided.tree;
+  report.target_statements = tree.targets.size();
+  report.raw_paths = tree.enumerated_raw;
+  report.truncated = tree.truncated;
+
   // ---- Static screening (src/staticcheck) ---------------------------------
   bool skip_concolic = false;
   if (options.static_screen) {
     staticcheck::ScreenOptions screen_options;
-    screen_options.max_paths = options.max_paths;
-    screen_options.prune_irrelevant = options.prune_irrelevant;
     screen_options.capture = capture;
-    const staticcheck::ScreenResult screen = facts.screener().screen_state_predicate(
-        contract.target_fragment, contract.condition, screen_options);
+    const staticcheck::ScreenResult screen =
+        facts.screener().screen_state_predicate(decided, screen_options);
     record_screen(screen, report);
     // Forced tests are always honoured: ablations that request specific
     // replays expect them to run regardless of the screening verdict.
@@ -575,33 +609,18 @@ void check_state_predicate(const ProgramFacts& facts, const SemanticContract& co
     }
     report.screen_skipped_concolic = skip_concolic && options.run_concolic;
   }
+  if (capture.active()) {
+    obs::PhasedSmtCapture static_smt_capture(capture.ledger, capture.capture, "static-path");
+    held_smt.flush(static_smt_capture);
+  }
 
-  // ---- Static assertion over the execution tree ---------------------------
-  analysis::TreeOptions tree_options;
-  tree_options.max_paths = options.max_paths;
-  tree_options.prune_irrelevant = options.prune_irrelevant;
-  tree_options.contract_condition = contract.condition;
-  obs::ScopedSpan tree_span("checker.tree");
-  const analysis::ExecutionTree tree = analysis::build_execution_tree(
-      program, facts.screener().graph(), contract.target_fragment, tree_options);
-  tree_span.attr("paths", tree.paths.size());
-  tree_span.attr("raw_paths", tree.enumerated_raw);
-  tree_span.close();
-  report.target_statements = tree.targets.size();
-  report.raw_paths = tree.enumerated_raw;
-  report.truncated = tree.truncated;
-
-  obs::ScopedSpan static_span("checker.static_paths");
-  smt::Solver solver;
-  solver.set_budget(budget);
-  obs::PhasedSmtCapture static_smt_capture(capture.ledger, capture.capture, "static-path");
-  if (capture.active()) solver.set_capture(&static_smt_capture);
   // The first violated path's satisfying model, kept structured for the
   // counterexample narrator (names in canonical frame vocabulary).
   smt::Model narration_model;
   int narration_stmt_id = -1;
-  std::vector<std::string> narration_path_chain;
-  for (const analysis::ExecutionPath& path : tree.paths) {
+  for (std::size_t i = 0; i < tree.paths.size(); ++i) {
+    const analysis::ExecutionPath& path = tree.paths[i];
+    const std::optional<smt::SolveResult>& decision = decided.decisions[i];
     PathReport path_report;
     path_report.call_chain = path.call_chain;
     path_report.target_stmt_id = path.target != nullptr ? path.target->id : -1;
@@ -609,37 +628,26 @@ void check_state_predicate(const ProgramFacts& facts, const SemanticContract& co
         path.target != nullptr ? minilang::stmt_header_text(*path.target) : "";
     path_report.path_condition = path.condition->to_string();
     path_report.contract_condition = path.renamed_contract->to_string();
-    smt::Model violated_model;
-    if (budget != nullptr && !budget->charge_path()) {
+    if (!decision.has_value()) {
+      path_report.verdict = PathVerdict::kUnmappable;
+      ++report.unmappable;
+    } else if (decision->unknown()) {
       // A refused path is inconclusive, never silently verified: the report
       // keeps the full path entry so a resumed run can pick it back up.
       path_report.verdict = PathVerdict::kInconclusive;
-      path_report.detail = budget->exhausted_reason();
+      path_report.detail = decision->reason;
       ++report.inconclusive;
-    } else if (!path.mappable) {
-      path_report.verdict = PathVerdict::kUnmappable;
-      ++report.unmappable;
-    } else {
-      const smt::SolveResult result = solver.solve(smt::Formula::conj2(
-          path.condition, smt::Formula::negate(path.renamed_contract)));
-      if (result.unknown()) {
-        path_report.verdict = PathVerdict::kInconclusive;
-        path_report.detail = result.reason;
-        ++report.inconclusive;
-      } else if (result.sat()) {
-        path_report.verdict = PathVerdict::kViolated;
-        path_report.counterexample = result.model.to_string();
-        violated_model = result.model;
-        if (narration_stmt_id < 0) {
-          narration_model = result.model;
-          narration_stmt_id = path_report.target_stmt_id;
-          narration_path_chain = path.call_chain;
-        }
-        ++report.violated;
-      } else {
-        path_report.verdict = PathVerdict::kVerified;
-        ++report.verified;
+    } else if (decision->sat()) {
+      path_report.verdict = PathVerdict::kViolated;
+      path_report.counterexample = decision->model.to_string();
+      if (narration_stmt_id < 0) {
+        narration_model = decision->model;
+        narration_stmt_id = path_report.target_stmt_id;
       }
+      ++report.violated;
+    } else {
+      path_report.verdict = PathVerdict::kVerified;
+      ++report.verified;
     }
     if (capture.active()) {
       obs::PathEvidence evidence;
@@ -656,17 +664,14 @@ void check_state_predicate(const ProgramFacts& facts, const SemanticContract& co
       evidence.verdict = path_verdict_name(path_report.verdict);
       evidence.counterexample = path_report.counterexample;
       evidence.detail = path_report.detail;
-      evidence.model_bools = violated_model.bools;
-      evidence.model_ints = violated_model.ints;
+      if (path_report.verdict == PathVerdict::kViolated) {
+        evidence.model_bools = decision->model.bools;
+        evidence.model_ints = decision->model.ints;
+      }
       capture.path(std::move(evidence));
     }
     report.paths.push_back(std::move(path_report));
   }
-  solver.set_capture(nullptr);  // the sink is stack-local
-  static_span.attr("verified", report.verified);
-  static_span.attr("violated", report.violated);
-  if (report.inconclusive > 0) static_span.attr("inconclusive", report.inconclusive);
-  static_span.close();
   report.sanity_ok = report.verified > 0;
 
   // ---- Dynamic confirmation via concolic replay of selected tests ---------

@@ -17,6 +17,7 @@ namespace {
 
 constexpr const char* kJournalKind = "lisa-check";
 constexpr std::int64_t kJournalVersion = 1;
+constexpr const char* kCaptureKey = "ledger_capture";
 
 }  // namespace
 
@@ -43,12 +44,20 @@ bool CheckJournal::load(const std::string& expected_fingerprint) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     try {
-      ContractCheckReport report = ContractCheckReport::from_json(Json::parse(line));
-      if (report.contract_id.empty()) {
+      const Json json = Json::parse(line);
+      Entry entry{ContractCheckReport::from_json(json), std::nullopt};
+      if (entry.report.contract_id.empty()) {
         ++dropped;
         continue;
       }
-      entries_[report.contract_id] = std::move(report);
+      if (json.has(kCaptureKey)) {
+        obs::ContractCapture capture = obs::ContractCapture::from_json(json.at(kCaptureKey));
+        // Replayed on resume only as the evidence of the contract it was
+        // journaled with.
+        if (capture.contract_id == entry.report.contract_id) entry.capture = std::move(capture);
+      }
+      const std::string id = entry.report.contract_id;
+      entries_[id] = std::move(entry);
     } catch (const std::exception&) {
       // A torn tail from a crash mid-append: everything before it is good.
       ++dropped;
@@ -75,24 +84,34 @@ bool CheckJournal::begin(const std::string& fingerprint) {
   return writable_;
 }
 
-void CheckJournal::record(const ContractCheckReport& report) {
+void CheckJournal::record(const ContractCheckReport& report,
+                          const obs::ContractCapture* capture) {
   if (!writable_ || path_.empty()) return;
   std::ofstream out(path_, std::ios::app);
   if (!out) return;
-  out << report.to_json().dump() << "\n";
+  Json line = report.to_json();
+  if (capture != nullptr) line.as_object()[kCaptureKey] = capture->to_json();
+  out << line.dump() << "\n";
   out.flush();
 }
 
 const ContractCheckReport* CheckJournal::find(const std::string& contract_id) const {
   const auto it = entries_.find(contract_id);
-  return it == entries_.end() ? nullptr : &it->second;
+  return it == entries_.end() ? nullptr : &it->second.report;
+}
+
+const obs::ContractCapture* CheckJournal::capture(const std::string& contract_id) const {
+  const auto it = entries_.find(contract_id);
+  return it == entries_.end() || !it->second.capture.has_value() ? nullptr
+                                                                 : &*it->second.capture;
 }
 
 const ContractCheckReport* CheckJournal::resumable(const std::string& contract_id,
-                                                    const std::string& slice_fp) const {
+                                                    const std::string& slice_fp,
+                                                    bool need_capture) const {
   const ContractCheckReport* entry = find(contract_id);
   if (entry == nullptr || !entry->conclusive() || entry->slice_fp.empty() ||
-      entry->slice_fp != slice_fp)
+      entry->slice_fp != slice_fp || (need_capture && capture(contract_id) == nullptr))
     return nullptr;
   return entry;
 }
@@ -114,18 +133,25 @@ void ContractRun::check(const ProgramFacts& facts,
     if (context_.resume) (void)journal.load("");
     journal.begin(fingerprint_);
   }
-  const bool fingerprinted = !context_.journal_path.empty() || context_.ledger != nullptr;
+  obs::ProvenanceLedger* const ledger = context_.ledger;
+  const bool fingerprinted = !context_.journal_path.empty() || ledger != nullptr;
   for (const SemanticContract* contract : contracts) {
     const std::string slice_fp =
         fingerprinted ? contract_slice_fingerprint(facts, *contract, options) : "";
-    const ContractCheckReport* checkpointed = journal.resumable(contract->id, slice_fp);
+    const ContractCheckReport* checkpointed =
+        journal.resumable(contract->id, slice_fp, /*need_capture=*/ledger != nullptr);
     ContractCheckReport report = checkpointed != nullptr
                                      ? *checkpointed
                                      : Checker().check(facts, *contract, options, context_);
-    if (checkpointed == nullptr && context_.ledger != nullptr && !slice_fp.empty())
-      context_.ledger->capture_for(contract->id)->slice_fp = slice_fp;
+    obs::ContractCapture* capture = nullptr;
+    if (ledger != nullptr) {
+      capture = ledger->capture_for(contract->id);
+      // A resumed contract replays the evidence its checking run captured.
+      if (checkpointed != nullptr) *capture = *journal.capture(contract->id);
+      if (!slice_fp.empty()) capture->slice_fp = slice_fp;
+    }
     report.slice_fp = slice_fp;
-    journal.record(report);
+    journal.record(report, capture);
     on_report(*contract, std::move(report), checkpointed != nullptr);
   }
 }

@@ -11,8 +11,12 @@
 //
 // Format (one JSON document per line):
 //   {"journal":"lisa-check","version":1,"fingerprint":"<hex>"}
-//   {<ContractCheckReport::to_json()>}
+//   {<ContractCheckReport::to_json()>, "ledger_capture": {...}}
 //   ...
+//
+// "ledger_capture" is the contract's provenance capture, present when the
+// run had a ledger; a resumed contract replays it into the new run's ledger,
+// so ledger and history do not depend on whether a run resumed.
 //
 // The header fingerprint records the (case, source) the journal was written
 // against. Callers that demand identical inputs pass it to load();
@@ -26,6 +30,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,28 +58,39 @@ class CheckJournal {
   /// Returns false (and disables recording) when the file cannot be opened.
   bool begin(const std::string& fingerprint);
 
-  /// Appends one finished report and flushes, so a crash right after loses
-  /// nothing. No-op when the journal is disabled (begin failed / no path).
-  void record(const ContractCheckReport& report);
+  /// Appends one finished report, with its ledger capture when there is
+  /// one, and flushes, so a crash right after loses nothing. No-op when the
+  /// journal is disabled (begin failed / no path).
+  void record(const ContractCheckReport& report,
+              const obs::ContractCapture* capture = nullptr);
 
   /// The journaled report for `contract_id`, or nullptr. Loaded entries
   /// only — records written this run are not replayed back.
   [[nodiscard]] const ContractCheckReport* find(const std::string& contract_id) const;
 
+  /// The ledger capture journaled with `contract_id`'s report, or nullptr.
+  [[nodiscard]] const obs::ContractCapture* capture(const std::string& contract_id) const;
+
   /// The journaled report to replay for `contract_id` on resume, or
   /// nullptr: only a conclusive entry whose slice fingerprint equals
-  /// `slice_fp`, the contract's cone over the current program, stands.
+  /// `slice_fp`, the contract's cone over the current program, stands —
+  /// and, when `need_capture`, only one journaled with its ledger capture.
   /// Inconclusive entries (budget-cut, fault-degraded) and entries whose cone
   /// changed re-check.
   [[nodiscard]] const ContractCheckReport* resumable(const std::string& contract_id,
-                                                     const std::string& slice_fp) const;
+                                                     const std::string& slice_fp,
+                                                     bool need_capture = false) const;
 
   [[nodiscard]] std::size_t loaded_entries() const { return entries_.size(); }
 
  private:
   std::string path_;
   bool writable_ = false;
-  std::map<std::string, ContractCheckReport> entries_;
+  struct Entry {
+    ContractCheckReport report;
+    std::optional<obs::ContractCapture> capture;
+  };
+  std::map<std::string, Entry> entries_;
 };
 
 /// The one contract-run loop of the incident pipeline (Pipeline::run) and

@@ -197,16 +197,4 @@ std::string render_markdown(const GateDecision& decision) {
   return out;
 }
 
-std::string render_markdown(const PropertyReport& report) {
-  std::string out = "## High-level property `" + report.property_id + "`: **" +
-                    property_status_name(report.status) + "**\n\n";
-  for (const std::string& finding : report.findings) out += "- " + finding + "\n";
-  if (!report.findings.empty()) out += "\n";
-  for (const ContractCheckReport& constituent : report.constituent_reports) {
-    out += render_markdown(constituent);
-    out += "\n";
-  }
-  return out;
-}
-
 }  // namespace lisa::core

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "lisa/ci_gate.hpp"
-#include "lisa/composition.hpp"
 #include "lisa/pipeline.hpp"
 
 namespace lisa::core {
@@ -23,8 +22,5 @@ namespace lisa::core {
 
 /// Renders a gate decision as the comment a CI bot would post on the commit.
 [[nodiscard]] std::string render_markdown(const GateDecision& decision);
-
-/// Renders a composed-property evaluation.
-[[nodiscard]] std::string render_markdown(const PropertyReport& report);
 
 }  // namespace lisa::core

@@ -554,12 +554,11 @@ Value binary_value(BinOp op, const Value& lhs, const Value& rhs) {
       switch (op) {
         case BinOp::kSub: return Value::of_int(a - b);
         case BinOp::kMul: return Value::of_int(a * b);
-        case BinOp::kDiv:
-          if (b == 0) throw MiniThrow(Value::of_string("ArithmeticException: divide by zero"));
-          return Value::of_int(a / b);
-        default:
-          if (b == 0) throw MiniThrow(Value::of_string("ArithmeticException: mod by zero"));
-          return Value::of_int(a % b);
+        default: {
+          const CheckedQuotient quotient = checked_divide(a, b, op == BinOp::kMod);
+          if (quotient.error != nullptr) throw MiniThrow(Value::of_string(quotient.error));
+          return Value::of_int(quotient.value);
+        }
       }
     }
     case BinOp::kLt:

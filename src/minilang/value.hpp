@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -10,6 +11,28 @@
 #include <vector>
 
 namespace lisa::minilang {
+
+/// The outcome of a checked MiniLang integer `/` or `%`: the result, or the
+/// message of the ArithmeticException the operation raises.
+struct CheckedQuotient {
+  std::int64_t value = 0;
+  const char* error = nullptr;  // null: `value` holds the result
+};
+
+/// MiniLang `/` (or `%` when `modulo`) on ints. A zero divisor raises, and
+/// so does INT64_MIN / -1, whose quotient does not fit in an int
+/// ("ArithmeticException: overflow"); INT64_MIN % -1 is 0. Interp, Vm and
+/// the interval analysis all divide through here, so no division traps.
+[[nodiscard]] inline CheckedQuotient checked_divide(std::int64_t a, std::int64_t b,
+                                                    bool modulo) {
+  if (b == 0)
+    return {0, modulo ? "ArithmeticException: mod by zero"
+                      : "ArithmeticException: divide by zero"};
+  if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
+    return modulo ? CheckedQuotient{0, nullptr}
+                  : CheckedQuotient{0, "ArithmeticException: overflow"};
+  return {modulo ? a % b : a / b, nullptr};
+}
 
 struct Object;
 using ObjectPtr = std::shared_ptr<Object>;

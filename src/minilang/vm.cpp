@@ -189,12 +189,12 @@ Value Vm::run(int chunk_index, std::vector<Value> args) {
         const std::int64_t b = rhs.as_int();
         if (insn.op == Op::kSub) stack_.push_back(Value::of_int(a - b));
         else if (insn.op == Op::kMul) stack_.push_back(Value::of_int(a * b));
-        else if (b == 0) {
-          unwind(Value::of_string(insn.op == Op::kDiv
-                                      ? "ArithmeticException: divide by zero"
-                                      : "ArithmeticException: mod by zero"));
-        } else {
-          stack_.push_back(Value::of_int(insn.op == Op::kDiv ? a / b : a % b));
+        else {
+          const CheckedQuotient quotient = checked_divide(a, b, insn.op == Op::kMod);
+          if (quotient.error != nullptr)
+            unwind(Value::of_string(quotient.error));
+          else
+            stack_.push_back(Value::of_int(quotient.value));
         }
         break;
       }

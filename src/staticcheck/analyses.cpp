@@ -660,12 +660,12 @@ Interval IntervalAnalysis::eval(const Expr& expr, const State& state) const {
           }
           return top();
         case BinOp::kDiv:
-          if (a.is_constant() && b.is_constant() && b.lo != 0)
-            return Interval::constant(a.lo / b.lo);
-          return top();
         case BinOp::kMod:
-          if (a.is_constant() && b.is_constant() && b.lo != 0)
-            return Interval::constant(a.lo % b.lo);
+          if (a.is_constant() && b.is_constant()) {
+            const minilang::CheckedQuotient quotient =
+                minilang::checked_divide(a.lo, b.lo, expr.bin_op == BinOp::kMod);
+            if (quotient.error == nullptr) return Interval::constant(quotient.value);
+          }
           return top();
         default:
           return top();

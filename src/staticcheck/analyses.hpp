@@ -10,8 +10,7 @@
 //     usually an accident.
 //   * LockStateAnalysis: tracks monitor depth through `sync` blocks
 //     path-sensitively and flags calls that (transitively) block while a
-//     monitor is held — the dataflow generalization of
-//     analysis::check_no_blocking_in_sync.
+//     monitor is held — the no-blocking-in-sync rule.
 //   * IntervalAnalysis: integer intervals with constant propagation and
 //     guard clamping; proves integer guards and flags branch conditions
 //     that are always true/false.

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "analysis/paths.hpp"
 #include "obs/trace.hpp"
 #include "smt/solver.hpp"
 #include "staticcheck/concurrency.hpp"
@@ -300,10 +299,11 @@ bool Screener::slice_closure_refutes(const std::string& target_fragment,
   return true;
 }
 
-ScreenResult Screener::screen_state_predicate(const std::string& target_fragment,
-                                              const FormulaPtr& condition,
+ScreenResult Screener::screen_state_predicate(const analysis::DecidedTree& decided,
                                               const ScreenOptions& options) const {
   obs::ScopedSpan span("screen.state_predicate");
+  const std::string& target_fragment = decided.tree.target_fragment;
+  const FormulaPtr& condition = decided.options.contract_condition;
   span.attr("target", target_fragment);
   const support::Stopwatch timer;
   ScreenResult result;
@@ -339,13 +339,13 @@ ScreenResult Screener::screen_state_predicate(const std::string& target_fragment
   // (call-site havoc erases exactly the cross-function guarantees needed).
   obs::PhasedSmtCapture smt_capture(options.capture.ledger, options.capture.capture,
                                     "screen");
+  smt::Solver solver;
+  if (options.capture.active()) solver.set_capture(&smt_capture);
+  const FormulaPtr not_condition = Formula::negate(condition);
   const auto facts_refute_everywhere = [&]() -> bool {
     if (summaries() == nullptr) return false;
-    smt::Solver closure_solver;
-    if (options.capture.active()) closure_solver.set_capture(&smt_capture);
-    const FormulaPtr not_p = Formula::negate(condition);
     for (const auto& [stmt, facts] : target_facts) {
-      const smt::SolveResult closed = closure_solver.solve(Formula::conj2(facts, not_p));
+      const smt::SolveResult closed = solver.solve(Formula::conj2(facts, not_condition));
       // An unknown result never counts as a refutation: claiming ProvedSafe
       // off a solver that refused to answer would silence real violations.
       if (closed.sat() || closed.unknown()) return false;
@@ -353,19 +353,14 @@ ScreenResult Screener::screen_state_predicate(const std::string& target_fragment
     return true;
   };
 
-  // The guard-only execution tree — deliberately the exact abstraction the
-  // path checker decides, so "all paths verify" here implies the checker
-  // reports zero violations.
-  analysis::TreeOptions tree_options;
-  tree_options.max_paths = options.max_paths;
-  tree_options.prune_irrelevant = options.prune_irrelevant;
-  tree_options.contract_condition = condition;
-  const analysis::ExecutionTree tree =
-      analysis::build_execution_tree(*program_, graph_, target_fragment, tree_options);
+  // The decided tree is the checker's own, so "all paths verify" here is
+  // exactly the checker reporting zero violations.
+  const analysis::ExecutionTree& tree = decided.tree;
   result.paths_checked = tree.paths.size();
 
   if (tree.truncated) {
-    result.reason = "path enumeration truncated at " + std::to_string(options.max_paths);
+    result.reason =
+        "path enumeration truncated at " + std::to_string(decided.options.max_paths);
     result.elapsed_ms = timer.elapsed_ms();
     return result;
   }
@@ -385,24 +380,21 @@ ScreenResult Screener::screen_state_predicate(const std::string& target_fragment
     return result;
   }
 
-  smt::Solver solver;
-  if (options.capture.active()) solver.set_capture(&smt_capture);
-  const FormulaPtr not_condition = Formula::negate(condition);
   bool any_unmappable = false;
   bool any_facts_refuted = false;
   bool any_unknown = false;
-  for (const analysis::ExecutionPath& path : tree.paths) {
-    if (!path.mappable) {
+  for (std::size_t i = 0; i < tree.paths.size(); ++i) {
+    const analysis::ExecutionPath& path = tree.paths[i];
+    const std::optional<smt::SolveResult>& decision = decided.decisions[i];
+    if (!decision.has_value()) {
       any_unmappable = true;
       continue;
     }
-    const smt::SolveResult sat = solver.solve(
-        Formula::conj2(path.condition, Formula::negate(path.renamed_contract)));
-    if (sat.unknown()) {
+    if (decision->unknown()) {
       any_unknown = true;
       continue;
     }
-    if (!sat.sat()) continue;  // path verifies
+    if (!decision->sat()) continue;  // path verifies
 
     // The guard-only condition misses assignment effects; require the
     // dataflow facts at the target to be consistent with ¬P before trusting
@@ -427,7 +419,7 @@ ScreenResult Screener::screen_state_predicate(const std::string& target_fragment
       if (!chain.empty()) chain += " -> ";
       chain += fn;
     }
-    result.witness = chain + " | " + sat.model.to_string();
+    result.witness = chain + " | " + decision->model.to_string();
     result.reason = "path condition admits the contract's complement";
     result.elapsed_ms = timer.elapsed_ms();
     return result;

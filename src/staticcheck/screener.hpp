@@ -5,9 +5,10 @@
 //   * dataflow facts (nullness + intervals, analyses.hpp) at each target
 //     statement, converted into the SMT fragment with the same variable
 //     naming as smt/minilang_bridge.cpp;
-//   * the guard-only execution tree (analysis/paths.cpp) — the same
-//     abstraction the path checker uses, so screener verdicts never
-//     contradict the checker's.
+//   * the checker's decided execution tree (analysis::decide_execution_tree):
+//     the guard-only paths with π ∧ ¬P already solved once per path, so
+//     screener verdicts never contradict the checker's and no path query
+//     is solved twice.
 //
 // Three-valued verdicts:
 //   * ProvedSafe     — every enumerated entry→target path verifies
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "analysis/callgraph.hpp"
+#include "analysis/paths.hpp"
 #include "obs/provenance.hpp"
 #include "smt/formula.hpp"
 #include "staticcheck/analyses.hpp"
@@ -50,8 +52,6 @@ enum class ScreenVerdict { kProvedSafe, kProvedViolated, kUnknown };
 [[nodiscard]] const char* screen_verdict_name(ScreenVerdict verdict);
 
 struct ScreenOptions {
-  std::size_t max_paths = 4096;
-  bool prune_irrelevant = true;  // mirror the checker's path pruning
   /// Provenance capture (obs/provenance.hpp): when active, the screener
   /// records its dataflow facts (per analysis, with source locations),
   /// function-summary evidence, and every SMT query it issues. An inert
@@ -89,11 +89,14 @@ class Screener {
   /// Disabling reproduces the PR 2 facts byte-for-byte (ablation baseline).
   explicit Screener(const minilang::Program& program, bool use_summaries = true);
 
-  /// Screens a state-predicate contract <condition> at `target_fragment`.
-  /// `condition` uses target-function-local variable names (as produced by
-  /// contract translation); null conditions return Unknown.
-  [[nodiscard]] ScreenResult screen_state_predicate(const std::string& target_fragment,
-                                                    const smt::FormulaPtr& condition,
+  /// Screens the state-predicate contract `decided` was built for: its
+  /// condition (decided.options.contract_condition, in target-local names)
+  /// at decided.tree.target_fragment. The tree must come from
+  /// analysis::decide_execution_tree over this screener's program and
+  /// graph; the screener reads its path decisions and solves only its own
+  /// queries (facts confirmation and the closures). A null condition
+  /// returns Unknown.
+  [[nodiscard]] ScreenResult screen_state_predicate(const analysis::DecidedTree& decided,
                                                     const ScreenOptions& options = {}) const;
 
   /// Screens the no-blocking-in-sync structural rule via the path-sensitive
@@ -129,6 +132,7 @@ class Screener {
                                          const minilang::Stmt* stmt,
                                          const obs::CaptureHandle& capture) const;
 
+  [[nodiscard]] const minilang::Program& program() const { return *program_; }
   [[nodiscard]] const analysis::CallGraph& graph() const { return graph_; }
 
   /// The slice engine over this screener's graph and summaries, built on

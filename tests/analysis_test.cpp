@@ -6,7 +6,6 @@
 
 #include "analysis/callgraph.hpp"
 #include "analysis/paths.hpp"
-#include "analysis/patterns.hpp"
 #include "analysis/rename.hpp"
 #include "minilang/sema.hpp"
 #include "smt/minilang_bridge.hpp"
@@ -330,82 +329,6 @@ TEST(Paths, MaxPathsTruncates) {
   const ExecutionTree tree = build_execution_tree(program, graph, "act3(", options);
   EXPECT_TRUE(tree.truncated);
   EXPECT_LE(tree.paths.size(), 100u);
-}
-
-TEST(Patterns, DetectsBlockingInsideSyncTransitively) {
-  const Program program = minilang::parse_checked(R"(
-struct Node { data: string; }
-fn persist(n: Node) { write_record(n, n.data); }
-@entry
-fn serialize(n: Node) {
-  sync (n) {
-    persist(n);
-  }
-}
-@entry
-fn safe(n: Node) {
-  let d = "";
-  sync (n) {
-    d = n.data;
-  }
-  write_record(n, d);
-}
-)");
-  const CallGraph graph = CallGraph::build(program);
-  const auto violations = check_no_blocking_in_sync(program, graph);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].function, "serialize");
-  EXPECT_EQ(violations[0].blocking_call, "write_record");
-  ASSERT_GE(violations[0].call_path.size(), 2u);
-  EXPECT_EQ(violations[0].call_path.front(), "persist");
-}
-
-TEST(Patterns, ReportsEveryBlockingChainWithSyncLocation) {
-  // `flush` reaches two distinct blocking leaves; the checker must report
-  // one violation per chain, each carrying the enclosing sync statement.
-  const Program program = minilang::parse_checked(R"(
-struct Node { data: string; }
-fn flush(n: Node) {
-  write_record(n, n.data);
-  fsync_log(n);
-}
-@entry
-fn serialize(n: Node) {
-  sync (n) {
-    flush(n);
-  }
-}
-)");
-  const CallGraph graph = CallGraph::build(program);
-  const auto violations = check_no_blocking_in_sync(program, graph);
-  ASSERT_EQ(violations.size(), 2u);
-  std::set<std::string> leaves;
-  for (const PatternViolation& violation : violations) {
-    leaves.insert(violation.blocking_call);
-    ASSERT_NE(violation.sync_stmt, nullptr);
-    EXPECT_EQ(violation.sync_stmt->kind, minilang::Stmt::Kind::kSync);
-    EXPECT_NE(violation.description.find("sync at line"), std::string::npos);
-    ASSERT_FALSE(violation.call_path.empty());
-    EXPECT_EQ(violation.call_path.front(), "flush");
-  }
-  EXPECT_EQ(leaves, (std::set<std::string>{"fsync_log", "write_record"}));
-}
-
-TEST(Patterns, SpecificRuleMissesOtherFunctions) {
-  const Program program = minilang::parse_checked(R"(
-struct Node { data: string; }
-@entry
-fn ser_a(n: Node) {
-  sync (n) { write_record(n, n.data); }
-}
-@entry
-fn ser_b(n: Node) {
-  sync (n) { fsync_log(n); }
-}
-)");
-  const CallGraph graph = CallGraph::build(program);
-  EXPECT_EQ(check_no_blocking_in_sync(program, graph).size(), 2u);
-  EXPECT_EQ(check_specific_call_in_sync(program, graph, "write_record").size(), 1u);
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 // story, the §4 preliminary results, and the Fig. 6 generalization claim.
 #include <gtest/gtest.h>
 
-#include "analysis/patterns.hpp"
 #include "lisa/ci_gate.hpp"
 #include "lisa/pipeline.hpp"
 #include "minilang/sema.hpp"
+#include "staticcheck/screener.hpp"
 #include "support/strings.hpp"
 
 namespace lisa {
@@ -63,26 +63,24 @@ TEST(PreliminaryResults, Bug2HdfsBatchedListing) {
 TEST(Generalization, BroadRuleCatchesAclSerializer) {
   const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-2201-sync-serialize");
   const minilang::Program patched = minilang::parse_checked(ticket->patched_source);
-  const analysis::CallGraph graph = analysis::CallGraph::build(patched);
+  // The narrow rule is the general rule's diagnostics filtered to the
+  // patched function's blocking call, write_record.
+  const auto flags = [](const staticcheck::ScreenResult& result, const std::string& function,
+                        bool narrow) {
+    for (const staticcheck::Diagnostic& diagnostic : result.diagnostics)
+      if (diagnostic.function == function &&
+          (!narrow || diagnostic.message.rfind("call to write_record ", 0) == 0))
+        return true;
+    return false;
+  };
 
-  // The specific rule is tied to the patched function's call; after the fix
-  // nothing in serialize_node blocks under sync, and the rule cannot see the
-  // latent serialize_acls hazard.
-  const auto specific =
-      analysis::check_specific_call_in_sync(patched, graph, "write_record");
-  bool specific_flags_acl = false;
-  for (const auto& violation : specific)
-    if (violation.function == "serialize_acls") specific_flags_acl = true;
-
-  const auto general = analysis::check_no_blocking_in_sync(patched, graph);
-  bool general_flags_acl = false;
-  for (const auto& violation : general)
-    if (violation.function == "serialize_acls") general_flags_acl = true;
-
-  EXPECT_TRUE(general_flags_acl);
-  EXPECT_TRUE(specific_flags_acl);  // direct call also inside sync here
+  // After the fix nothing in serialize_node blocks under sync; the latent
+  // serialize_acls hazard calls write_record directly inside its sync block.
+  const staticcheck::ScreenResult general = staticcheck::Screener(patched).screen_structural();
+  EXPECT_TRUE(flags(general, "serialize_acls", /*narrow=*/false));
+  EXPECT_TRUE(flags(general, "serialize_acls", /*narrow=*/true));
   // The decisive case: a serializer that blocks through a helper function —
-  // invisible to the syntactic specific rule, caught by the generalized one.
+  // invisible to the narrow rule, caught by the generalized one.
   const minilang::Program indirect = minilang::parse_checked(R"(
 struct Cache { data: string; }
 fn persist_entry(c: Cache) { fsync_log(c); }
@@ -93,9 +91,9 @@ fn serialize_cache(c: Cache) {
   }
 }
 )");
-  const analysis::CallGraph graph2 = analysis::CallGraph::build(indirect);
-  EXPECT_TRUE(analysis::check_specific_call_in_sync(indirect, graph2, "write_record").empty());
-  EXPECT_EQ(analysis::check_no_blocking_in_sync(indirect, graph2).size(), 1u);
+  const staticcheck::ScreenResult broad = staticcheck::Screener(indirect).screen_structural();
+  EXPECT_FALSE(flags(broad, "serialize_cache", /*narrow=*/true));
+  EXPECT_EQ(broad.diagnostics.size(), 1u);
 }
 
 // The full CI story: the contract learned from incident 1 blocks the commit

@@ -3,6 +3,10 @@
 // whole incident corpus.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+
 #include "corpus/ticket.hpp"
 #include "minilang/compiler.hpp"
 #include "minilang/interp.hpp"
@@ -149,6 +153,47 @@ fn main(d: int) -> int {
 )");
   EXPECT_EQ(vm_call(c, "main", {Value::of_int(2)}).as_int(), 5);
   EXPECT_EQ(vm_call(c, "main", {Value::of_int(0)}).as_int(), -1);
+}
+
+// `/` and `%` go through one checked helper in both engines: a zero divisor
+// and INT64_MIN / -1 raise a catchable ArithmeticException instead of
+// trapping, and every result agrees with the interpreter.
+TEST(Vm, DivisionAgreesWithInterpreterAtTheEdges) {
+  const Compiled c = compile_source(R"(
+fn div(a: int, b: int) -> string {
+  try {
+    return str(a / b);
+  } catch (e) {
+    return e;
+  }
+}
+fn mod(a: int, b: int) -> string {
+  try {
+    return str(a % b);
+  } catch (e) {
+    return e;
+  }
+}
+)");
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> operands[] = {
+      {kMin, -1}, {kMin, 1}, {kMin, kMin}, {kMax, -1}, {7, -2}, {-7, 2}, {5, 0}, {kMin, 0}};
+  for (const auto& [a, b] : operands) {
+    for (const char* fn : {"div", "mod"}) {
+      Interp interp(c.program);
+      const Value expected = interp.call(fn, {Value::of_int(a), Value::of_int(b)});
+      EXPECT_EQ(vm_call(c, fn, {Value::of_int(a), Value::of_int(b)}).as_string(),
+                expected.as_string())
+          << fn << "(" << a << ", " << b << ")";
+    }
+  }
+  Interp interp(c.program);
+  EXPECT_EQ(interp.call("div", {Value::of_int(kMin), Value::of_int(-1)}).as_string(),
+            "ArithmeticException: overflow");
+  EXPECT_EQ(interp.call("mod", {Value::of_int(kMin), Value::of_int(-1)}).as_string(), "0");
+  EXPECT_EQ(interp.call("div", {Value::of_int(5), Value::of_int(0)}).as_string(),
+            "ArithmeticException: divide by zero");
 }
 
 TEST(Vm, SyncDepthRestoredOnReturnAndThrow) {

@@ -66,21 +66,6 @@ TEST(Report, GateDecisionMarkdownBlockedAndAdmitted) {
   EXPECT_NE(admitted_md.find("✅ Commit admitted"), std::string::npos);
 }
 
-TEST(Report, PropertyMarkdownNamesStatus) {
-  const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-1208-ephemeral-create");
-  const inference::SemanticsProposal proposal = inference::MockLlm().infer(*ticket);
-  TranslationResult translation = translate(proposal, ticket->system);
-  const HighLevelProperty property =
-      ephemeral_lifecycle_property(std::move(translation.contracts));
-  const minilang::Program program = minilang::parse_checked(ticket->patched_source);
-  CheckOptions options;
-  options.run_concolic = false;
-  const PropertyReport report = Composer(options).evaluate(program, property);
-  const std::string markdown = render_markdown(report);
-  EXPECT_NE(markdown.find("ephemeral-lifecycle"), std::string::npos);
-  EXPECT_NE(markdown.find("**BROKEN**"), std::string::npos);
-}
-
 TEST(Report, StructuralViolationsRendered) {
   const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-2201-sync-serialize");
   const PipelineResult result = Pipeline().run(*ticket, ticket->patched_source);

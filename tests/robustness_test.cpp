@@ -17,6 +17,8 @@
 #include "lisa/pipeline.hpp"
 #include "minilang/interp.hpp"
 #include "minilang/sema.hpp"
+#include "obs/history.hpp"
+#include "obs/provenance.hpp"
 #include "smt/minilang_bridge.hpp"
 #include "smt/solver.hpp"
 #include "support/budget.hpp"
@@ -521,6 +523,72 @@ TEST_F(Robustness, GateResumeSkipsSettledContracts) {
   EXPECT_EQ(second.allowed, first.allowed);
   EXPECT_EQ(second.violations.size(), first.violations.size());
   std::remove(path.c_str());
+}
+
+// INT64_MIN / -1 is a hostile commit's cheapest trap: the interval fold,
+// the interpreter and the VM all divide through one checked helper, so the
+// gate decides the commit as if the dead function were not there.
+TEST_F(Robustness, HostileDivisionGetsTheUneditedVerdict) {
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-1208-ephemeral-create");
+  core::ContractStore store;
+  store.add_all(pipeline_result(Pipeline(), *ticket).contracts);
+  const std::string hostile =
+      ticket->buggy_source +
+      "\nfn edge_div() -> int { let a = -9223372036854775807 - 1; let b = 0 - 1; "
+      "return a / b; }\n";
+  const core::CiGate gate;
+  const core::GateDecision plain = gate.evaluate(ticket->buggy_source, store);
+  const core::GateDecision edited = gate.evaluate(hostile, store);
+  EXPECT_FALSE(plain.allowed);
+  EXPECT_EQ(edited.allowed, plain.allowed);
+  EXPECT_EQ(edited.needs_attention, plain.needs_attention);
+  EXPECT_EQ(edited.violations, plain.violations);
+  ASSERT_EQ(edited.reports.size(), plain.reports.size());
+  for (std::size_t i = 0; i < plain.reports.size(); ++i)
+    EXPECT_EQ(edited.reports[i].verdict_signature(), plain.reports[i].verdict_signature());
+}
+
+// A resumed contract replays the ledger capture journaled with its report, so
+// the ledger and the history record of a resumed run equal a fresh run's
+// apart from timing.
+TEST_F(Robustness, GateResumeWritesTheFreshRunsLedgerAndHistory) {
+  const corpus::FailureTicket* ticket = corpus::Corpus::find("zk-1208-ephemeral-create");
+  core::ContractStore store;
+  store.add_all(pipeline_result(Pipeline(), *ticket).contracts);
+  const std::string journal = temp_path("parity_journal.jsonl");
+  const std::string history = temp_path("parity_history.jsonl");
+  std::remove(history.c_str());
+  const auto run = [&](bool resume) {
+    obs::ProvenanceLedger ledger;
+    core::GateRunOptions options;
+    options.journal_path = journal;
+    options.history_path = history;
+    options.ledger = &ledger;
+    options.resume = resume;
+    const core::GateDecision decision =
+        core::CiGate().evaluate(ticket->buggy_source, store, options);
+    EXPECT_EQ(decision.resumed_contracts,
+              resume ? static_cast<int>(decision.reports.size()) : 0);
+    return ledger.to_jsonl();
+  };
+  const std::string fresh = run(false);
+  const std::string resumed = run(true);
+  EXPECT_EQ(resumed, fresh);
+  EXPECT_NE(fresh.find("\"smt_queries\":[{"), std::string::npos);
+
+  obs::RunHistory runs(history);
+  ASSERT_TRUE(runs.load());
+  ASSERT_EQ(runs.records().size(), 2u);
+  std::vector<obs::RunRecord> records = runs.records();
+  for (obs::RunRecord& record : records)
+    std::erase_if(record.metrics, [](const auto& metric) {
+      return metric.first.size() > 3 &&
+             metric.first.compare(metric.first.size() - 3, 3, "_ms") == 0;
+    });
+  EXPECT_FALSE(records[0].smt_digest.empty());
+  EXPECT_EQ(records[1].to_json().dump(), records[0].to_json().dump());
+  std::remove(journal.c_str());
+  std::remove(history.c_str());
 }
 
 /// A hostile commit to the patched hbase counter: a fuel-bounded loop

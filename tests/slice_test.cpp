@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 
+#include "analysis/paths.hpp"
 #include "corpus/ticket.hpp"
 #include "inference/mock_llm.hpp"
 #include "lisa/checker.hpp"
@@ -25,6 +26,15 @@ namespace lisa::staticcheck {
 namespace {
 
 using minilang::Program;
+
+/// Decides the contract's execution tree and screens it, as the checker does.
+ScreenResult screen(const Screener& screener, const std::string& target_fragment,
+                    const smt::FormulaPtr& condition) {
+  analysis::TreeOptions options;
+  options.contract_condition = condition;
+  return screener.screen_state_predicate(analysis::decide_execution_tree(
+      screener.program(), screener.graph(), target_fragment, options));
+}
 
 // A small service with a clear cone structure: `audit` and its helper are
 // unreachable from the contract target's callers/callees, and the only test
@@ -219,7 +229,7 @@ TEST(SliceScreening, LiteralConstructionsDischargeTheContract) {
   const Screener screener(program);
   const auto condition = smt::parse_condition("!s.closed");
   ASSERT_TRUE(condition.has_value());
-  const ScreenResult result = screener.screen_state_predicate("commit(", *condition);
+  const ScreenResult result = screen(screener, "commit(", *condition);
   EXPECT_EQ(result.verdict, ScreenVerdict::kProvedSafe);
   EXPECT_NE(result.reason.find("slice"), std::string::npos) << result.reason;
 }
@@ -233,7 +243,7 @@ TEST(SliceScreening, ViolatingConstructionIsNotDischarged) {
   const Screener screener(program);
   const auto condition = smt::parse_condition("!s.closed");
   ASSERT_TRUE(condition.has_value());
-  const ScreenResult result = screener.screen_state_predicate("commit(", *condition);
+  const ScreenResult result = screen(screener, "commit(", *condition);
   EXPECT_NE(result.verdict, ScreenVerdict::kProvedSafe);
 }
 
@@ -249,7 +259,7 @@ TEST(SliceScreening, MutatedFootprintIsNotDischarged) {
   const Screener screener(program);
   const auto condition = smt::parse_condition("!s.closed");
   ASSERT_TRUE(condition.has_value());
-  const ScreenResult result = screener.screen_state_predicate("commit(", *condition);
+  const ScreenResult result = screen(screener, "commit(", *condition);
   EXPECT_NE(result.verdict, ScreenVerdict::kProvedSafe);
 }
 
